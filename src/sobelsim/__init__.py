@@ -1,7 +1,6 @@
 """Cycle-level simulator for two streaming Sobel edge-detection cores."""
 
 from .blocks import (
-    SOBEL_MASKS,
     ConfigMismatchError,
     GradientPair,
     LineBuffer,
@@ -9,11 +8,8 @@ from .blocks import (
     SobelConfig,
     SobelHdlPE,
     SobelHlsPE,
-    SobelMasks,
     U8ToU32PE,
     WidthTooLargeError,
-    Window3x3,
-    convolve3x3,
     gray_frame,
     gray_image_from_beats,
     magnitude,
@@ -21,6 +17,7 @@ from .blocks import (
     rgb_frame,
     sobel_hdl_pe,
     sobel_hls_pe,
+    sobel_kernel,
     sobel_pe,
     u8_to_u32_pe,
     unpack_words,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .image_io import GrayImage, RgbImage
-from .stream import Beat, ProcessingElement, ProtocolError
+from .stream import Beat, ProcessingElement, ProtocolError, new_beat
 
 
 class ConfigMismatchError(RuntimeError):
@@ -53,68 +53,12 @@ class GradientPair(NamedTuple):
     gv: int
 
 
-@dataclass(frozen=True)
-class SobelMasks:
-    """A 3x3 mask pair; mv is the transpose of mh for the Sobel operator."""
-
-    mh: tuple
-    mv: tuple
-
-
-SOBEL_MASKS = SobelMasks(
-    mh=((-1, 0, 1), (-2, 0, 2), (-1, 0, 1)),
-    mv=((-1, -2, -1), (0, 0, 0), (1, 2, 1)),
-)
-
-
-class Window3x3:
-    """3x3 pixel window held as three 3-deep shift rows.
-
-    rows[0] is the oldest image row of the window (top).  Within a row,
-    index 0 holds the newest column, so the leftmost image column of the
-    window lives at index 2.  shift_in() models the per-pixel register
-    shift: every row moves one step and the fresh column enters at index 0.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-
-    def shift_in(self, top: int, mid: int, bot: int):
-        for row, v in zip(self.rows, (top, mid, bot)):
-            row[2] = row[1]
-            row[1] = row[0]
-            row[0] = v
-
-    def snapshot(self) -> "Window3x3":
-        """Copy the current register values (the live window keeps shifting)."""
-        w = Window3x3.__new__(Window3x3)
-        w.rows = [row[:] for row in self.rows]
-        return w
-
-    @classmethod
-    def from_grid(cls, grid) -> "Window3x3":
-        """Build a window from image-layout rows (index 0 = leftmost column)."""
-        w = cls()
-        for row, g in zip(w.rows, grid):
-            row[0], row[1], row[2] = g[2], g[1], g[0]
-        return w
-
-    def grid(self):
-        """Return the window in image layout (row-major, leftmost first)."""
-        return [[row[2 - j] for j in range(3)] for row in self.rows]
-
-    def reset(self):
-        for row in self.rows:
-            row[0] = row[1] = row[2] = 0
-
-
 class LineBuffer:
     """One row of pixels modelled as a dual-port RAM.
 
     The discipline check mirrors the physical part: at most one read and
-    one write per simulated cycle, re-armed by begin_cycle().
+    one write per simulated cycle, re-armed by begin_cycle(), which a core
+    calls in each cycle before it may touch the RAM.
     """
 
     __slots__ = ("depth", "cells", "_reads", "_writes")
@@ -149,20 +93,27 @@ class LineBuffer:
         self._writes = 0
 
 
-def convolve3x3(window: Window3x3, masks: SobelMasks = SOBEL_MASKS) -> GradientPair:
-    """Correlate a window with a mask pair, in image orientation."""
-    gh = 0
-    gv = 0
-    rows = window.rows
-    for i in range(3):
-        cells = rows[i]
-        mh_row = masks.mh[i]
-        mv_row = masks.mv[i]
-        for j in range(3):
-            v = cells[2 - j]
-            gh += v * mh_row[j]
-            gv += v * mv_row[j]
-    return GradientPair(gh, gv)
+def _saturated(gh: int, gv: int, exact: bool) -> int:
+    if exact:
+        # sqrt(x) rounded half away from zero, in integers as hardware
+        # does it: floor(sqrt(x) + 1/2) = (floor(sqrt(4x)) + 1) // 2
+        mag = (math.isqrt(4 * (gh * gh + gv * gv)) + 1) >> 1
+    else:
+        mag = abs(gh) + abs(gv)
+    return 255 if mag > 255 else mag
+
+
+def sobel_kernel(window: tuple, exact: bool = False) -> int:
+    """8-bit Sobel magnitude of a 3x3 window held as a 9-tuple in image layout.
+
+    window is row-major with the leftmost column first: (p00, p01, p02,
+    p10, p11, p12, p20, p21, p22).  gh correlates with the horizontal mask
+    ((-1, 0, 1), (-2, 0, 2), (-1, 0, 1)) and gv with its transpose.
+    """
+    p00, p01, p02, p10, _, p12, p20, p21, p22 = window
+    gh = p02 - p00 + 2 * (p12 - p10) + p22 - p20
+    gv = p20 - p00 + 2 * (p21 - p01) + p22 - p02
+    return _saturated(gh, gv, exact)
 
 
 def magnitude(g: GradientPair, mode: str = "approx") -> int:
@@ -171,13 +122,9 @@ def magnitude(g: GradientPair, mode: str = "approx") -> int:
     "approx" is |gh| + |gv|; "exact" is the Euclidean magnitude rounded
     half away from zero.  Both clamp at 255.
     """
-    if mode == "approx":
-        mag = abs(g.gh) + abs(g.gv)
-    elif mode == "exact":
-        mag = int(math.sqrt(g.gh * g.gh + g.gv * g.gv) + 0.5)
-    else:
+    if mode not in ("approx", "exact"):
         raise ValueError(f"unknown magnitude mode {mode!r}")
-    return 255 if mag > 255 else mag
+    return _saturated(g.gh, g.gv, mode == "exact")
 
 
 # ---- configuration -----------------------------------------------------
@@ -212,6 +159,8 @@ class SobelConfig:
 
 # ---- processing elements ------------------------------------------------
 
+ZERO_WINDOW = (0,) * 9
+
 
 class Rgb2GrayPE(ProcessingElement):
     """Truncating mean of the three channels, one registered stage."""
@@ -221,7 +170,7 @@ class Rgb2GrayPE(ProcessingElement):
     out_width = 8
 
     def __init__(self):
-        self._reg: Optional[Beat] = None
+        self._reg: Optional[tuple] = None
 
     def reset(self):
         self._reg = None
@@ -232,11 +181,10 @@ class Rgb2GrayPE(ProcessingElement):
             if not pout.free:
                 return  # hold the register, accept nothing
             pout.put(reg)
-        beat = pin.head
-        if beat is not None:
+        if pin.head is not None:
             word, last = pin.take()
             gray = (((word >> 16) & 0xFF) + ((word >> 8) & 0xFF) + (word & 0xFF)) // 3
-            self._reg = Beat(gray, last)
+            self._reg = (gray, last)
         else:
             self._reg = None
 
@@ -256,7 +204,7 @@ class U8ToU32PE(ProcessingElement):
     def __init__(self):
         self._acc = 0
         self._count = 0
-        self._reg: Optional[Beat] = None
+        self._reg: Optional[tuple] = None
 
     def reset(self):
         self._acc = 0
@@ -270,15 +218,17 @@ class U8ToU32PE(ProcessingElement):
                 return
             pout.put(reg)
             self._reg = None
-        beat = pin.head
-        if beat is not None:
+        if pin.head is not None:
             data, last = pin.take()
-            self._acc |= data << (8 * self._count)
-            self._count += 1
-            if self._count == 4 or last:
-                self._reg = Beat(self._acc, last)
+            count = self._count
+            acc = self._acc | data << (8 * count)
+            if count == 3 or last:
+                self._reg = (acc, last)
                 self._acc = 0
                 self._count = 0
+            else:
+                self._acc = acc
+                self._count = count + 1
 
 
 class SobelHdlPE(ProcessingElement):
@@ -289,6 +239,9 @@ class SobelHdlPE(ProcessingElement):
     RAM roles rotate with row parity); stage 3 convolves and applies the
     magnitude; stage 4 emits.  One pixel enters and one beat leaves per
     cycle once warmed up; a full downstream channel freezes all four stages.
+
+    The window registers are one immutable 9-tuple (see sobel_kernel), so
+    stage 2 hands stage 3 the tuple itself as its snapshot.
 
     Assign a list to `trace` to record events as (kind, cycle, ...):
     ("accept", t, index), ("convolve", t, row, col) for the window centre,
@@ -304,26 +257,25 @@ class SobelHdlPE(ProcessingElement):
         self.config = config
         self.trace: Optional[list] = None
         self._w = config.width
-        self._mode = config.magnitude_mode
+        self._exact = config.magnitude_mode == "exact"
         self._total = config.width * config.height
         self._drain_start = self._total - config.width - 1
         self._lb = (
             LineBuffer(config.line_buffer_depth),
             LineBuffer(config.line_buffer_depth),
         )
-        self._window = Window3x3()
         self.reset()
 
     def reset(self):
         self._in_idx = 0
         self._drain_pos = self._drain_start
         self._s1 = None  # (out_pos, pixel, row, col, above2, above1); pixel None = drain
-        self._s2 = None  # (out_pos, window snapshot or None)
-        self._s3 = None  # (out_pos, value, last)
+        self._s2 = None  # (out_pos, window or None)
+        self._s3 = None  # (out_pos, beat)
         self._tick = -1
         self._lb[0].reset()
         self._lb[1].reset()
-        self._window.reset()
+        self._window = ZERO_WINDOW
         if self.trace is not None:
             self.trace.clear()
 
@@ -336,7 +288,7 @@ class SobelHdlPE(ProcessingElement):
         if s3 is not None and s3[0] >= 0:
             if not pout.free:
                 return
-            pout.put(Beat(s3[1], s3[2]))
+            pout.put(s3[1])
             if trace is not None:
                 trace.append(("emit", self._tick, s3[0]))
 
@@ -353,12 +305,12 @@ class SobelHdlPE(ProcessingElement):
             if win is None:
                 value = 0
             else:
-                value = magnitude(convolve3x3(win), self._mode)
+                value = sobel_kernel(win, self._exact)
                 if trace is not None:
                     trace.append(
                         ("convolve", self._tick, out_pos // self._w, out_pos % self._w)
                     )
-            self._s3 = (out_pos, value, out_pos == self._total - 1)
+            self._s3 = (out_pos, (value, out_pos == self._total - 1))
 
         # stage 2: shift the window, write the pixel over the oldest row
         s1 = self._s1
@@ -369,24 +321,20 @@ class SobelHdlPE(ProcessingElement):
             if pixel is None:
                 self._s2 = (out_pos, None)
             else:
-                window = self._window
-                window.shift_in(above2, above1, pixel)
+                _, a1, a2, _, b1, b2, _, c1, c2 = self._window
+                win = self._window = (a1, a2, above2, b1, b2, above1, c1, c2, pixel)
                 self._lb[row & 1].write(col, pixel)
-                if row >= 2 and col >= 2:
-                    # window now covers rows row-2..row, cols col-2..col,
-                    # i.e. the interior centre that out_pos points at
-                    self._s2 = (out_pos, window.snapshot())
-                else:
-                    self._s2 = (out_pos, None)
+                # the window now covers rows row-2..row, cols col-2..col,
+                # i.e. the interior centre that out_pos points at
+                self._s2 = (out_pos, win if row >= 2 and col >= 2 else None)
 
         # stage 1: accept a pixel (reading both row RAMs) or inject a drain token
-        if self._in_idx < self._total:
-            beat = pin.head
-            if beat is None:
+        idx = self._in_idx
+        if idx < self._total:
+            if pin.head is None:
                 self._s1 = None
             else:
                 data, last = pin.take()
-                idx = self._in_idx
                 if last != (idx == self._total - 1):
                     raise ConfigMismatchError(
                         f"frame length does not match {self.config.width}x"
@@ -435,25 +383,24 @@ class SobelHlsPE(ProcessingElement):
         self.stage_count = pipeline_depth
         self.trace: Optional[list] = None
         self._w = config.width
-        self._mode = config.magnitude_mode
+        self._exact = config.magnitude_mode == "exact"
         self._total = config.width * config.height
         self._drain_start = self._total - config.width - 1
-        self._lb_top = LineBuffer(config.line_buffer_depth)
-        self._lb_mid = LineBuffer(config.line_buffer_depth)
-        self._lb_bot = LineBuffer(config.line_buffer_depth)
-        self._window = Window3x3()
+        self._lb = tuple(LineBuffer(config.line_buffer_depth) for _ in range(3))
         self.reset()
 
     def reset(self):
         self._in_idx = 0
         self._drain_pos = self._drain_start
-        self._chain = [None] * (self.pipeline_depth - 1)  # [0] newest, [-1] emitting
+        # register chain as a ring of (out_pos, beat) tokens; the slot at
+        # _oldest is the one emitting, and the new token overwrites it
+        self._chain = [None] * (self.pipeline_depth - 1)
+        self._oldest = 0
         self._filled = False
         self._tick = -1
-        self._lb_top.reset()
-        self._lb_mid.reset()
-        self._lb_bot.reset()
-        self._window.reset()
+        for lb in self._lb:
+            lb.reset()
+        self._window = ZERO_WINDOW
         if self.trace is not None:
             self.trace.clear()
 
@@ -461,40 +408,40 @@ class SobelHlsPE(ProcessingElement):
         self._tick += 1
         trace = self.trace
         chain = self._chain
+        oldest = self._oldest
 
         # emit the chain tail; a blocked emit freezes the whole loop
-        tail = chain[-1]
+        tail = chain[oldest]
         if tail is not None and tail[0] >= 0:
             if not pout.free:
                 return
-            pout.put(Beat(tail[1], tail[2]))
+            pout.put(tail[1])
             if trace is not None:
                 trace.append(("emit", self._tick, tail[0]))
 
-        self._lb_top.begin_cycle()
-        self._lb_mid.begin_cycle()
-        self._lb_bot.begin_cycle()
-
         # one loop iteration: rotate buffers, shift window, convolve
         token = None
-        if self._in_idx < self._total:
-            beat = pin.head
-            if beat is not None:
+        idx = self._in_idx
+        if idx < self._total:
+            if pin.head is not None:
                 pixel, last = pin.take()
-                idx = self._in_idx
                 if last != (idx == self._total - 1):
                     raise ConfigMismatchError(
                         f"frame length does not match {self.config.width}x"
                         f"{self.config.height} (last flag at beat {idx})"
                     )
                 row, col = divmod(idx, self._w)
-                mid_old = self._lb_mid.read(col)
-                bot_old = self._lb_bot.read(col)
-                self._lb_top.write(col, mid_old)
-                self._lb_mid.write(col, bot_old)
-                self._lb_bot.write(col, pixel)
-                window = self._window
-                window.shift_in(mid_old, bot_old, pixel)
+                top, mid, bot = self._lb
+                top.begin_cycle()
+                mid.begin_cycle()
+                bot.begin_cycle()
+                mid_old = mid.read(col)
+                bot_old = bot.read(col)
+                top.write(col, mid_old)
+                mid.write(col, bot_old)
+                bot.write(col, pixel)
+                _, a1, a2, _, b1, b2, _, c1, c2 = self._window
+                win = self._window = (a1, a2, mid_old, b1, b2, bot_old, c1, c2, pixel)
                 self._in_idx = idx + 1
                 if trace is not None:
                     trace.append(("accept", self._tick, idx))
@@ -503,19 +450,21 @@ class SobelHlsPE(ProcessingElement):
                         self._filled = True
                         if trace is not None:
                             trace.append(("fill", self._tick, idx + 1))
-                    value = magnitude(convolve3x3(window), self._mode)
+                    value = sobel_kernel(win, self._exact)
                     if trace is not None:
                         trace.append(("convolve", self._tick, row - 1, col - 1))
                 else:
                     value = 0
                 out_pos = idx - self._w - 1
-                token = (out_pos, value, out_pos == self._total - 1)
+                token = (out_pos, (value, out_pos == self._total - 1))
         elif self._drain_pos < self._total:
-            token = (self._drain_pos, 0, self._drain_pos == self._total - 1)
-            self._drain_pos += 1
+            out_pos = self._drain_pos
+            token = (out_pos, (0, out_pos == self._total - 1))
+            self._drain_pos = out_pos + 1
 
-        del chain[-1]
-        chain.insert(0, token)
+        chain[oldest] = token
+        oldest += 1
+        self._oldest = 0 if oldest == len(chain) else oldest
 
 
 # ---- factories ----------------------------------------------------------
@@ -551,17 +500,17 @@ def sobel_pe(variant: str, config: SobelConfig, pipeline_depth: int = 6):
 
 def rgb_frame(image: RgbImage) -> list:
     """Flatten an RgbImage into 24-bit beats, (r << 16) | (g << 8) | b."""
-    n = len(image.pixels)
-    return [
-        Beat((r << 16) | (g << 8) | b, i == n - 1)
-        for i, (r, g, b) in enumerate(image.pixels)
-    ]
+    beats = [new_beat(Beat, ((r << 16) | (g << 8) | b, False))
+             for r, g, b in image.pixels]
+    beats[-1] = Beat(beats[-1].data, True)
+    return beats
 
 
 def gray_frame(image: GrayImage) -> list:
     """Flatten a GrayImage into 8-bit beats."""
-    n = len(image.pixels)
-    return [Beat(v, i == n - 1) for i, v in enumerate(image.pixels)]
+    beats = [new_beat(Beat, (v, False)) for v in image.pixels]
+    beats[-1] = Beat(beats[-1].data, True)
+    return beats
 
 
 def gray_image_from_beats(beats, width: int, height: int) -> GrayImage:

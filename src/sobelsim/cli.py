@@ -113,16 +113,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_image(path: str) -> RgbImage:
+def _load_frame(path: str):
+    """Read a BMP and flatten it into beats; returns (frame, width, height)."""
     with open(path, "rb") as fh:
-        return read_bmp(fh.read())
+        image = read_bmp(fh.read())
+    return rgb_frame(image), image.width, image.height
 
 
-def _run_variant(variant, image, args):
-    """Simulate one core over an image; returns (gray output, stats)."""
+def _run_variant(variant, frame, width, height, args):
+    """Simulate one core over a frame; returns (gray output, stats)."""
     config = SobelConfig(
-        image.width,
-        image.height,
+        width,
+        height,
         magnitude_mode=args.magnitude,
         line_buffer_depth=args.line_buffer_depth,
     )
@@ -130,24 +132,24 @@ def _run_variant(variant, image, args):
         [rgb2gray_pe(), sobel_pe(variant, config, args.hls_depth), u8_to_u32_pe()]
     )
     stalls = StallModel(args.stall_prob, args.seed)
-    words, stats = run_frame(pipeline, rgb_frame(image), stalls)
-    pixels = unpack_words(words, image.width * image.height)
-    return GrayImage(image.width, image.height, pixels), stats
+    words, stats = run_frame(pipeline, frame, stalls)
+    pixels = unpack_words(words, width * height)
+    return GrayImage(width, height, pixels), stats
 
 
 def cmd_process(args) -> int:
-    image = _load_image(args.input)
-    gray, stats = _run_variant(args.arch, image, args)
+    frame, width, height = _load_frame(args.input)
+    gray, stats = _run_variant(args.arch, frame, width, height, args)
     with open(args.output, "wb") as fh:
         fh.write(write_bmp(gray_to_rgb(gray)))
     if args.report:
         import json
 
-        resources = estimate_resources(args.arch, image.width, args.hls_depth)
+        resources = estimate_resources(args.arch, width, args.hls_depth)
         payload = {
             "input": {
-                "width": image.width,
-                "height": image.height,
+                "width": width,
+                "height": height,
                 "magnitude_mode": args.magnitude,
                 "stall_prob": args.stall_prob,
                 "seed": args.seed,
@@ -157,22 +159,24 @@ def cmd_process(args) -> int:
         with open(args.report, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-    print(f"{args.arch}: {stats.total_cycles} cycles for "
-          f"{image.width}x{image.height}", file=sys.stderr)
+    print(f"{args.arch}: {stats.total_cycles} cycles for {width}x{height}",
+          file=sys.stderr)
     return 0
 
 
 def cmd_compare(args) -> int:
-    image = _load_image(args.input)
-    hdl_gray, hdl_stats = _run_variant("hdl", image, args)
-    hls_gray, hls_stats = _run_variant("hls", image, args)
+    frame, width, height = _load_frame(args.input)
+    hdl_gray, hdl_stats = _run_variant("hdl", frame, width, height, args)
+    hls_gray, hls_stats = _run_variant("hls", frame, width, height, args)
+    del frame  # the report holds both RGB outputs; do not hold the input too
+    hdl_rgb, hls_rgb = gray_to_rgb(hdl_gray), gray_to_rgb(hls_gray)
     report = build_report(
         hdl_stats,
         hls_stats,
-        estimate_resources("hdl", image.width),
-        estimate_resources("hls", image.width, args.hls_depth),
-        gray_to_rgb(hdl_gray),
-        gray_to_rgb(hls_gray),
+        estimate_resources("hdl", width),
+        estimate_resources("hls", width, args.hls_depth),
+        hdl_rgb,
+        hls_rgb,
         magnitude_mode=args.magnitude,
         stall_prob=args.stall_prob,
         seed=args.seed,
@@ -182,9 +186,9 @@ def cmd_compare(args) -> int:
     base, dot, ext = args.output.rpartition(".")
     if not dot:
         base, ext = args.output, "bmp"
-    for tag, gray in (("hdl", hdl_gray), ("hls", hls_gray)):
+    for tag, rgb in (("hdl", hdl_rgb), ("hls", hls_rgb)):
         with open(f"{base}_{tag}.{ext}", "wb") as fh:
-            fh.write(write_bmp(gray_to_rgb(gray)))
+            fh.write(write_bmp(rgb))
     print(f"hamming_bits={report.hamming_bits} "
           f"cycle_ratio={report.cycle_ratio:.4f}", file=sys.stderr)
     return 0 if report.hamming_bits == 0 else 3

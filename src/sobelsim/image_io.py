@@ -99,6 +99,10 @@ def read_bmp(data: bytes) -> RgbImage:
         raise UnsupportedFormatError(f"unsupported compression {compression}")
     if width <= 0 or height == 0:
         raise UnsupportedFormatError(f"bad dimensions {width}x{height}")
+    if pixel_offset < HEADER_SIZE:
+        raise UnsupportedFormatError(
+            f"pixel array offset {pixel_offset} lies inside the {HEADER_SIZE}-byte headers"
+        )
 
     rows = abs(height)
     stride = row_stride(width)

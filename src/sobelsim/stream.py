@@ -20,10 +20,20 @@ PAYLOAD_WIDTHS = (8, 24, 32)
 
 
 class Beat(NamedTuple):
-    """One transfer on a stream: a payload word plus an end-of-frame flag."""
+    """One transfer on a stream: a payload word plus an end-of-frame flag.
+
+    Elements hand each other plain (data, last) tuples, which skips the
+    NamedTuple constructor on every hop; frames and the beats run_frame
+    returns are Beats.
+    """
 
     data: int
     last: bool = False
+
+
+# Beat(data, last) without the Python-level NamedTuple.__new__:
+# new_beat(Beat, (data, last))
+new_beat = tuple.__new__
 
 
 class ProtocolError(RuntimeError):
@@ -77,13 +87,14 @@ class Channel:
     """Bounded FIFO between two pipeline elements.
 
     Consumers use head/take, producers use free/put.  Both views are latched
-    by begin_cycle(), and each side may act at most once per cycle; the
-    latch is cleared as the action happens, which makes a double take or a
-    put into an already-claimed slot a ProtocolError.
+    at the start of every cycle (by run_frame, or by begin_cycle() when a
+    channel is driven by hand), and each side may act at most once per
+    cycle; the latch is cleared as the action happens, which makes a double
+    take or a put into an already-claimed slot a ProtocolError.
     """
 
-    __slots__ = ("payload_width", "capacity", "_max", "_q", "_head", "_free",
-                 "pushed", "popped", "ops")
+    __slots__ = ("payload_width", "capacity", "_max", "_q", "head", "free",
+                 "pushed", "popped")
 
     def __init__(self, payload_width: int, capacity: int = 2):
         if payload_width not in PAYLOAD_WIDTHS:
@@ -94,61 +105,55 @@ class Channel:
         self.capacity = capacity
         self._max = 1 << payload_width
         self._q: list = []
-        self._head: Optional[Beat] = None
-        self._free = True
-        self.pushed = 0  # lifetime counters for flow-conservation checks
-        self.popped = 0
-        self.ops = 0
+        self.reset()
 
     def __len__(self):
         return len(self._q)
 
+    def reset(self):
+        """Empty the channel and zero its lifetime counters."""
+        self._q.clear()
+        self.head: Optional[Beat] = None  # latched consumer view
+        self.free = True  # latched producer view
+        self.pushed = 0  # lifetime counters for flow-conservation checks
+        self.popped = 0
+
     @property
     def valid(self) -> bool:
         """Latched consumer view: a beat was available at the cycle start."""
-        return self._head is not None
+        return self.head is not None
 
     @property
     def ready(self) -> bool:
         """Latched producer view: a slot was open at the cycle start."""
-        return self._free
+        return self.free
 
     def begin_cycle(self):
         q = self._q
-        self._head = q[0] if q else None
-        self._free = len(q) < self.capacity
+        self.head = q[0] if q else None
+        self.free = len(q) < self.capacity
 
     # -- consumer side -------------------------------------------------
-    @property
-    def head(self) -> Optional[Beat]:
-        return self._head
-
     def take(self) -> Beat:
-        beat = self._head
+        beat = self.head
         if beat is None:
             raise ProtocolError("take on a channel with no visible beat")
-        self._head = None
+        self.head = None
         del self._q[0]
         self.popped += 1
-        self.ops += 1
         return beat
 
     # -- producer side -------------------------------------------------
-    @property
-    def free(self) -> bool:
-        return self._free
-
     def put(self, beat: Beat):
-        if not self._free:
+        if not self.free:
             raise ProtocolError("put on a channel with no free slot")
-        if not 0 <= beat.data < self._max:
+        if not 0 <= beat[0] < self._max:
             raise ValueError(
-                f"beat data {beat.data:#x} exceeds {self.payload_width}-bit payload"
+                f"beat data {beat[0]:#x} exceeds {self.payload_width}-bit payload"
             )
-        self._free = False
+        self.free = False
         self._q.append(beat)
         self.pushed += 1
-        self.ops += 1
 
 
 class ProcessingElement:
@@ -184,10 +189,7 @@ class Pipeline:
 
     def reset(self):
         for ch in self.channels:
-            ch._q.clear()
-            ch._head = None
-            ch._free = True
-            ch.pushed = ch.popped = ch.ops = 0
+            ch.reset()
         for pe in self.elements:
             pe.reset()
 
@@ -235,7 +237,10 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
     first, so the same object can run any number of frames.
 
     The run aborts with DeadlockError if no channel moves a beat for more
-    than `watchdog` consecutive cycles (default: 10x the frame length).
+    than `watchdog` consecutive cycles (default: 10x the frame length).  A
+    cycle in which the sink drew a stall does not count toward that, as
+    the run may still be making progress, unless the sink stalls always
+    (probability 1.0).
     """
     pipeline.reset()
     _validate_frame(frame, pipeline.source_channel.payload_width)
@@ -243,55 +248,62 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
         watchdog = 10 * len(frame)
 
     channels = pipeline.channels
-    wiring = pipeline.wiring
+    # bound after the reset, so that a tick patched onto an instance is seen
+    ticks = [(pe.tick, cin, cout) for pe, cin, cout in pipeline.wiring]
     src = pipeline.source_channel
     snk = pipeline.sink_channel
     probability = stalls.probability
-    rng = random.Random(stalls.seed) if probability > 0.0 else None
+    draw = random.Random(stalls.seed).random if probability > 0.0 else None
+    stalls_always = probability == 1.0
 
     received = []
+    receive = received.append
     frame_len = len(frame)
     src_idx = 0
     cycle = 0
     stall_cycles = 0
     first_output = -1
     idle = 0
-    prev_ops = 0
+    prev_moves = 0
 
+    # the channels are empty after the reset, and so latched for cycle 0;
+    # every later latch happens at the end of the cycle before
     while True:
-        for ch in channels:
-            ch.begin_cycle()
-
-        if src_idx < frame_len and src._free:
+        if src_idx < frame_len and src.free:
             src.put(frame[src_idx])
             src_idx += 1
 
-        for pe, cin, cout in wiring:
-            pe.tick(cin, cout)
+        for tick, cin, cout in ticks:
+            tick(cin, cout)
 
         done = False
-        if rng is not None and rng.random() < probability:
+        stalled = draw is not None and draw() < probability
+        if stalled:
             stall_cycles += 1
-        elif snk._head is not None:
-            beat = snk.take()
-            received.append(beat)
+        elif snk.head is not None:
+            beat = new_beat(Beat, snk.take())
+            receive(beat)
             if first_output < 0:
                 first_output = cycle
-            done = beat.last
+            done = beat[1]
 
-        total_ops = 0
+        # latch the views for the next cycle, counting the beats moved
+        moves = 0
         for ch in channels:
-            total_ops += ch.ops
-        if total_ops == prev_ops:
+            q = ch._q
+            ch.head = q[0] if q else None
+            ch.free = len(q) < ch.capacity
+            moves += ch.pushed + ch.popped
+        if moves != prev_moves:
+            idle = 0
+            prev_moves = moves
+        elif not stalled or stalls_always:
             idle += 1
             if idle > watchdog:
                 raise DeadlockError(
                     f"no beat moved for {idle} cycles (watchdog {watchdog}, "
                     f"cycle {cycle}, {len(received)} beats received)"
                 )
-        else:
-            idle = 0
-            prev_ops = total_ops
 
         if done:
             break

@@ -5,6 +5,7 @@ never against each other alone, so a shared systematic bug cannot pass.
 Latency facts are pinned through the cores' event traces.
 """
 
+import math
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from helpers import random_gray, run_sobel
 from sobelsim import (
-    SOBEL_MASKS,
     Beat,
     ConfigMismatchError,
     GradientPair,
@@ -22,12 +22,9 @@ from sobelsim import (
     ProtocolError,
     RgbImage,
     SobelConfig,
-    SobelMasks,
     StallModel,
     WidthTooLargeError,
-    Window3x3,
     build_pipeline,
-    convolve3x3,
     gray_frame,
     magnitude,
     rgb2gray_frame_reference,
@@ -35,6 +32,7 @@ from sobelsim import (
     rgb_frame,
     run_frame,
     sobel_frame_reference,
+    sobel_kernel,
     sobel_pe,
     u8_to_u32_pe,
     unpack_words,
@@ -53,60 +51,56 @@ def small_gray_images(min_side=3, max_side=10):
     )
 
 
+def window(grid):
+    """The 9-tuple the cores hold, from image-layout rows."""
+    return tuple(v for row in grid for v in row)
+
+
+def kernel_matches(grid, gh, gv):
+    """sobel_kernel gives the magnitude of (gh, gv) in both modes."""
+    g = GradientPair(gh, gv)
+    return (sobel_kernel(window(grid)) == magnitude(g, "approx")
+            and sobel_kernel(window(grid), exact=True) == magnitude(g, "exact"))
+
+
 class TestMasksAndConvolve:
+    """The fixed Sobel taps inside sobel_kernel."""
+
     def test_mask_pair_is_transposed(self):
-        mh, mv = SOBEL_MASKS.mh, SOBEL_MASKS.mv
-        assert all(mv[i][j] == mh[j][i] for i in range(3) for j in range(3))
-        assert sum(sum(row) for row in mh) == 0
-        assert sum(sum(row) for row in mv) == 0
+        # a unit impulse at (i, j) has the gradients (mh[i][j], mv[i][j]),
+        # and mv is the transpose of mh
+        mh = ((-1, 0, 1), (-2, 0, 2), (-1, 0, 1))
+        for i in range(3):
+            for j in range(3):
+                grid = [[0] * 3 for _ in range(3)]
+                grid[i][j] = 1
+                assert kernel_matches(grid, mh[i][j], mh[j][i])
 
     def test_uniform_window_has_no_gradient(self):
-        win = Window3x3.from_grid([[77] * 3] * 3)
-        assert convolve3x3(win) == GradientPair(0, 0)
+        assert kernel_matches([[77] * 3] * 3, 0, 0)
 
     def test_vertical_step_window(self):
-        win = Window3x3.from_grid([[0, 0, 255]] * 3)
-        assert convolve3x3(win) == GradientPair(1020, 0)
+        assert kernel_matches([[0, 0, 255]] * 3, 1020, 0)
+        assert kernel_matches([[0, 0, 1]] * 3, 4, 0)
 
     def test_horizontal_step_window(self):
-        win = Window3x3.from_grid([[0] * 3, [0] * 3, [255] * 3])
-        assert convolve3x3(win) == GradientPair(0, 1020)
+        assert kernel_matches([[0] * 3, [0] * 3, [255] * 3], 0, 1020)
+        assert kernel_matches([[0] * 3, [0] * 3, [1] * 3], 0, 4)
 
     def test_gradient_bound(self):
-        win = Window3x3.from_grid([[0, 0, 255], [0, 0, 255], [0, 0, 255]])
-        g = convolve3x3(win)
-        assert abs(g.gh) <= 1020 and abs(g.gv) <= 1020
-
-    def test_custom_masks(self):
-        box = SobelMasks(mh=((1,) * 3,) * 3, mv=((0,) * 3,) * 3)
-        win = Window3x3.from_grid([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        assert convolve3x3(win, box) == GradientPair(45, 0)
+        # (8, 24) is not saturated, so both modes pin the gradients
+        assert kernel_matches([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 8, 24)
+        # the steepest 8-bit step reaches the bound and saturates
+        assert kernel_matches([[0, 0, 255]] * 3, 1020, 0)
+        assert sobel_kernel(window([[0, 0, 255]] * 3), exact=True) == 255
 
     @given(st.lists(st.integers(0, 255), min_size=9, max_size=9))
     def test_transposing_the_window_swaps_the_gradients(self, cells):
         grid = [cells[0:3], cells[3:6], cells[6:9]]
         transposed = [[grid[j][i] for j in range(3)] for i in range(3)]
-        g = convolve3x3(Window3x3.from_grid(grid))
-        gt = convolve3x3(Window3x3.from_grid(transposed))
-        assert (gt.gh, gt.gv) == (g.gv, g.gh)
-
-
-class TestWindow:
-    def test_shift_in_feeds_column_zero(self):
-        win = Window3x3()
-        win.shift_in(1, 2, 3)
-        win.shift_in(4, 5, 6)
-        win.shift_in(7, 8, 9)
-        # newest column is the rightmost image column
-        assert win.grid() == [[1, 4, 7], [2, 5, 8], [3, 6, 9]]
-        win.shift_in(10, 11, 12)
-        assert win.grid() == [[4, 7, 10], [5, 8, 11], [6, 9, 12]]
-
-    def test_snapshot_is_decoupled(self):
-        win = Window3x3.from_grid([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        snap = win.snapshot()
-        win.shift_in(0, 0, 0)
-        assert snap.grid() == [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        for exact in (False, True):
+            assert (sobel_kernel(window(transposed), exact)
+                    == sobel_kernel(window(grid), exact))
 
 
 class TestLineBuffer:
@@ -164,6 +158,12 @@ class TestMagnitude:
         g = GradientPair(gh, gv)
         e, a = magnitude(g, "exact"), magnitude(g, "approx")
         assert 0 <= e <= a <= 255
+
+    def test_integer_rounding_matches_float_sqrt(self):
+        # the cores round sqrt(x) with integers, the oracle with a float;
+        # they agree on every x = gh^2 + gv^2 that 8-bit input can reach
+        for x in range(2 * 1020 * 1020 + 1):
+            assert (math.isqrt(4 * x) + 1) // 2 == int(math.sqrt(x) + 0.5), x
 
 
 class TestSobelConfig:
@@ -297,6 +297,18 @@ class TestSobelCores:
             run_frame(pipe, short)
 
     @pytest.mark.parametrize("variant", VARIANTS)
+    def test_long_sink_stalls_are_not_deadlocks(self, variant):
+        # a sink that stalls on most cycles still drains the frame, so the
+        # watchdog must not fire; before stalled cycles stopped counting as
+        # idle, 16 of these seeds raised at 0.95 and 198 at 0.99
+        img = GrayImage(3, 3, [0, 0, 255] * 3)
+        want = sobel_frame_reference(img).pixels
+        for probability in (0.95, 0.99):
+            for seed in range(200):
+                out, _ = run_sobel(variant, img, stalls=StallModel(probability, seed))
+                assert out.pixels == want, (probability, seed)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_backpressure_insensitivity(self, variant):
         rng = random.Random(5)
         img = random_gray(rng, 12, 8)
@@ -365,6 +377,22 @@ class TestSobelTiming:
             for pos, t_emit in emits.items():
                 if pos + 8 + 1 in accepts:
                     assert t_emit - accepts[pos + 8 + 1] == depth - 1
+
+    def test_closed_form_cycle_counts(self):
+        # no stalls, core alone: the last beat leaves W + 5 cycles (hdl) or
+        # W + d + 1 cycles (hls, depth d) after the W*H inputs, and the
+        # first one W + 6 or W + d + 2 cycles after the start
+        rng = random.Random(13)
+        for w in range(3, 21):
+            for h in range(3, 11):
+                img = random_gray(rng, w, h)
+                _, stats = run_sobel("hdl", img)
+                assert (stats.total_cycles, stats.first_output_cycle) == (
+                    w * h + w + 5, w + 6), (w, h)
+                for d in range(2, 10):
+                    _, stats = run_sobel("hls", img, pipeline_depth=d)
+                    assert (stats.total_cycles, stats.first_output_cycle) == (
+                        w * h + w + d + 1, w + d + 2), (w, h, d)
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):

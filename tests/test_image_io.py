@@ -107,6 +107,15 @@ class TestDecode:
         with pytest.raises(UnsupportedFormatError):
             read_bmp(data)
 
+    def test_pixel_offset_inside_headers_rejected(self):
+        data = bytearray(assemble_bmp(3, 3, [b"\x80" * 12] * 3))
+        for offset in (0, 20, 53):
+            struct.pack_into("<I", data, 10, offset)
+            with pytest.raises(UnsupportedFormatError):
+                read_bmp(bytes(data))
+        struct.pack_into("<I", data, 10, 54)
+        assert read_bmp(bytes(data)).pixels == [(128, 128, 128)] * 9
+
     def test_zero_height_rejected(self):
         data = assemble_bmp(1, 0, [])
         with pytest.raises(UnsupportedFormatError):
