@@ -28,7 +28,9 @@ final width + 1 border zeros after the frame ends.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .image_io import GrayImage, RgbImage
@@ -57,40 +59,35 @@ class LineBuffer:
     """One row of pixels modelled as a dual-port RAM.
 
     The discipline check mirrors the physical part: at most one read and
-    one write per simulated cycle, re-armed by begin_cycle(), which a core
-    calls in each cycle before it may touch the RAM.
+    one write per simulated cycle.  read() and write() take the caller's
+    cycle number `now`, a count from 0 that never repeats between resets,
+    and a second access of one kind in the same cycle is a ProtocolError.
     """
 
-    __slots__ = ("depth", "cells", "_reads", "_writes")
+    __slots__ = ("depth", "cells", "_read_at", "_write_at")
 
     def __init__(self, depth: int):
         if depth < 3:
             raise ValueError("line buffer depth must be at least 3")
         self.depth = depth
-        self.cells = bytearray(depth)
-        self._reads = 0
-        self._writes = 0
+        self.reset()
 
-    def begin_cycle(self):
-        self._reads = 0
-        self._writes = 0
-
-    def read(self, col: int) -> int:
-        self._reads += 1
-        if self._reads > 1:
+    def read(self, col: int, now: int) -> int:
+        if now == self._read_at:
             raise ProtocolError("second read on a single-read-port line buffer")
+        self._read_at = now
         return self.cells[col]
 
-    def write(self, col: int, value: int):
-        self._writes += 1
-        if self._writes > 1:
+    def write(self, col: int, value: int, now: int):
+        if now == self._write_at:
             raise ProtocolError("second write on a single-write-port line buffer")
+        self._write_at = now
         self.cells[col] = value
 
     def reset(self):
         self.cells = bytearray(self.depth)
-        self._reads = 0
-        self._writes = 0
+        self._read_at = -1  # cycle of the last read; cycles count from 0
+        self._write_at = -1
 
 
 def _saturated(gh: int, gv: int, exact: bool) -> int:
@@ -280,7 +277,7 @@ class SobelHdlPE(ProcessingElement):
             self.trace.clear()
 
     def tick(self, pin, pout):
-        self._tick += 1
+        now = self._tick = self._tick + 1
         trace = self.trace
 
         # stage 4: emit the registered result; a blocked emit freezes the pipe
@@ -290,11 +287,7 @@ class SobelHdlPE(ProcessingElement):
                 return
             pout.put(s3[1])
             if trace is not None:
-                trace.append(("emit", self._tick, s3[0]))
-
-        lb0, lb1 = self._lb
-        lb0.begin_cycle()
-        lb1.begin_cycle()
+                trace.append(("emit", now, s3[0]))
 
         # stage 3: convolve the captured window
         s2 = self._s2
@@ -307,9 +300,7 @@ class SobelHdlPE(ProcessingElement):
             else:
                 value = sobel_kernel(win, self._exact)
                 if trace is not None:
-                    trace.append(
-                        ("convolve", self._tick, out_pos // self._w, out_pos % self._w)
-                    )
+                    trace.append(("convolve", now, out_pos // self._w, out_pos % self._w))
             self._s3 = (out_pos, (value, out_pos == self._total - 1))
 
         # stage 2: shift the window, write the pixel over the oldest row
@@ -323,7 +314,7 @@ class SobelHdlPE(ProcessingElement):
             else:
                 _, a1, a2, _, b1, b2, _, c1, c2 = self._window
                 win = self._window = (a1, a2, above2, b1, b2, above1, c1, c2, pixel)
-                self._lb[row & 1].write(col, pixel)
+                self._lb[row & 1].write(col, pixel, now)
                 # the window now covers rows row-2..row, cols col-2..col,
                 # i.e. the interior centre that out_pos points at
                 self._s2 = (out_pos, win if row >= 2 and col >= 2 else None)
@@ -341,12 +332,12 @@ class SobelHdlPE(ProcessingElement):
                         f"{self.config.height} (last flag at beat {idx})"
                     )
                 row, col = divmod(idx, self._w)
-                above2 = self._lb[row & 1].read(col)  # row-2, overwritten next stage
-                above1 = self._lb[(row + 1) & 1].read(col)  # row-1
+                above2 = self._lb[row & 1].read(col, now)  # row-2, overwritten next stage
+                above1 = self._lb[(row + 1) & 1].read(col, now)  # row-1
                 self._s1 = (idx - self._w - 1, data, row, col, above2, above1)
                 self._in_idx = idx + 1
                 if trace is not None:
-                    trace.append(("accept", self._tick, idx))
+                    trace.append(("accept", now, idx))
         elif self._drain_pos < self._total:
             self._s1 = (self._drain_pos, None, 0, 0, 0, 0)
             self._drain_pos += 1
@@ -405,7 +396,7 @@ class SobelHlsPE(ProcessingElement):
             self.trace.clear()
 
     def tick(self, pin, pout):
-        self._tick += 1
+        now = self._tick = self._tick + 1
         trace = self.trace
         chain = self._chain
         oldest = self._oldest
@@ -417,7 +408,7 @@ class SobelHlsPE(ProcessingElement):
                 return
             pout.put(tail[1])
             if trace is not None:
-                trace.append(("emit", self._tick, tail[0]))
+                trace.append(("emit", now, tail[0]))
 
         # one loop iteration: rotate buffers, shift window, convolve
         token = None
@@ -432,27 +423,24 @@ class SobelHlsPE(ProcessingElement):
                     )
                 row, col = divmod(idx, self._w)
                 top, mid, bot = self._lb
-                top.begin_cycle()
-                mid.begin_cycle()
-                bot.begin_cycle()
-                mid_old = mid.read(col)
-                bot_old = bot.read(col)
-                top.write(col, mid_old)
-                mid.write(col, bot_old)
-                bot.write(col, pixel)
+                mid_old = mid.read(col, now)
+                bot_old = bot.read(col, now)
+                top.write(col, mid_old, now)
+                mid.write(col, bot_old, now)
+                bot.write(col, pixel, now)
                 _, a1, a2, _, b1, b2, _, c1, c2 = self._window
                 win = self._window = (a1, a2, mid_old, b1, b2, bot_old, c1, c2, pixel)
                 self._in_idx = idx + 1
                 if trace is not None:
-                    trace.append(("accept", self._tick, idx))
+                    trace.append(("accept", now, idx))
                 if row >= 2 and col >= 2:
                     if not self._filled:
                         self._filled = True
                         if trace is not None:
-                            trace.append(("fill", self._tick, idx + 1))
+                            trace.append(("fill", now, idx + 1))
                     value = sobel_kernel(win, self._exact)
                     if trace is not None:
-                        trace.append(("convolve", self._tick, row - 1, col - 1))
+                        trace.append(("convolve", now, row - 1, col - 1))
                 else:
                     value = 0
                 out_pos = idx - self._w - 1
@@ -520,15 +508,12 @@ def gray_image_from_beats(beats, width: int, height: int) -> GrayImage:
 
 def unpack_words(beats, byte_count: int) -> list:
     """Unpack 32-bit word beats back into their first byte_count bytes."""
-    out = []
-    for beat in beats:
-        word = beat.data
-        out.append(word & 0xFF)
-        out.append((word >> 8) & 0xFF)
-        out.append((word >> 16) & 0xFF)
-        out.append((word >> 24) & 0xFF)
+    try:
+        out = struct.pack(f"<{len(beats)}I", *map(itemgetter(0), beats))
+    except struct.error:
+        raise ValueError("word beats must hold 32-bit unsigned data") from None
     if byte_count > len(out):
         raise ValueError(f"{len(beats)} words hold fewer than {byte_count} bytes")
     if any(out[byte_count:]):
         raise ValueError("padding bytes beyond the frame end must be zero")
-    return out[:byte_count]
+    return list(out[:byte_count])

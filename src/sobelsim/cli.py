@@ -16,6 +16,7 @@ Diagnostics go to stderr; data only ever goes to files.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 
@@ -183,11 +184,9 @@ def cmd_compare(args) -> int:
     )
     with open(args.report, "wb") as fh:
         fh.write(serialize_report(report, args.format))
-    base, dot, ext = args.output.rpartition(".")
-    if not dot:
-        base, ext = args.output, "bmp"
+    base, ext = os.path.splitext(args.output)
     for tag, rgb in (("hdl", hdl_rgb), ("hls", hls_rgb)):
-        with open(f"{base}_{tag}.{ext}", "wb") as fh:
+        with open(f"{base}_{tag}{ext or '.bmp'}", "wb") as fh:
             fh.write(write_bmp(rgb))
     print(f"hamming_bits={report.hamming_bits} "
           f"cycle_ratio={report.cycle_ratio:.4f}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 HEADER_SIZE = 54  # 14-byte file header + 40-byte BITMAPINFOHEADER
 
@@ -112,15 +113,11 @@ def read_bmp(data: bytes) -> RgbImage:
             f"file has {len(data)}"
         )
 
-    pixels = []
-    for y in range(rows):
-        # positive height means the file stores the bottom row first
-        src_row = rows - 1 - y if height > 0 else y
-        base = pixel_offset + src_row * stride
-        row = data[base : base + 3 * width]
-        for x in range(0, 3 * width, 3):
-            pixels.append((row[x + 2], row[x + 1], row[x]))  # stored as BGR
-    return RgbImage(width, rows, pixels)
+    # positive height means the file stores the bottom row first
+    order = reversed(range(rows)) if height > 0 else range(rows)
+    starts = (pixel_offset + y * stride for y in order)
+    bgr = b"".join(data[base : base + 3 * width] for base in starts)
+    return RgbImage(width, rows, list(zip(bgr[2::3], bgr[1::3], bgr[0::3])))
 
 
 def write_bmp(image: RgbImage) -> bytes:
@@ -143,21 +140,26 @@ def write_bmp(image: RgbImage) -> bytes:
         0,
         0,
     )
-    pad = b"\x00" * (stride - 3 * image.width)
+    pad = bytes(stride - 3 * image.width)
+    bgr = bytearray(chain.from_iterable(image.pixels))
+    bgr[0::3], bgr[2::3] = bgr[2::3], bgr[0::3]
+    row_bytes = 3 * image.width
     out = bytearray(header)
     for y in reversed(range(image.height)):
-        row = bytearray()
-        for r, g, b in image.pixels[y * image.width : (y + 1) * image.width]:
-            row.append(b)
-            row.append(g)
-            row.append(r)
-        out += row + pad
+        out += bgr[y * row_bytes : (y + 1) * row_bytes]
+        out += pad
     return bytes(out)
+
+
+_GRAY_TRIPLES = tuple((v, v, v) for v in range(256))
 
 
 def gray_to_rgb(image: GrayImage) -> RgbImage:
     """Replicate each intensity into an (v, v, v) triple."""
-    return RgbImage(image.width, image.height, [(v, v, v) for v in image.pixels])
+    # bytes() raises ValueError for an intensity outside 0..255, which the
+    # table lookup would miss for a negative one
+    pixels = list(map(_GRAY_TRIPLES.__getitem__, bytes(image.pixels)))
+    return RgbImage(image.width, image.height, pixels)
 
 
 def hamming_distance(a: RgbImage, b: RgbImage) -> int:
@@ -171,6 +173,6 @@ def hamming_distance(a: RgbImage, b: RgbImage) -> int:
         raise DimensionMismatchError(
             f"{a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    flat_a = bytes(ch for px in a.pixels for ch in px)
-    flat_b = bytes(ch for px in b.pixels for ch in px)
+    flat_a = bytes(chain.from_iterable(a.pixels))
+    flat_b = bytes(chain.from_iterable(b.pixels))
     return (int.from_bytes(flat_a, "big") ^ int.from_bytes(flat_b, "big")).bit_count()

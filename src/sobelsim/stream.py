@@ -215,14 +215,19 @@ def _validate_frame(frame, payload_width: int):
     if not frame:
         raise ValueError("frame must contain at least one beat")
     limit = 1 << payload_width
-    for beat in frame:
-        if not 0 <= beat.data < limit:
+    final = len(frame) - 1
+    early_last = False
+    # one pass; a range error still wins over a misplaced last flag.  The
+    # index, not the beat, tells the final beat: a frame may repeat a Beat
+    for i, (data, last) in enumerate(frame):
+        if not 0 <= data < limit:
             raise ValueError(
-                f"frame beat {beat.data:#x} exceeds {payload_width}-bit payload"
+                f"frame beat {data:#x} exceeds {payload_width}-bit payload"
             )
-    for beat in frame[:-1]:
-        if beat.last:
-            raise ValueError("last flag set before the final beat")
+        if last and i != final:
+            early_last = True
+    if early_last:
+        raise ValueError("last flag set before the final beat")
     if not frame[-1].last:
         raise ValueError("final beat must carry the last flag")
 
@@ -247,11 +252,14 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
     if watchdog is None:
         watchdog = 10 * len(frame)
 
-    channels = pipeline.channels
     # bound after the reset, so that a tick patched onto an instance is seen
-    ticks = [(pe.tick, cin, cout) for pe, cin, cout in pipeline.wiring]
+    ticks = [(pe.tick, cin, cout, cin._q, cin.capacity)
+             for pe, cin, cout in pipeline.wiring]
     src = pipeline.source_channel
     snk = pipeline.sink_channel
+    src_q = src._q
+    snk_q = snk._q
+    snk_capacity = snk.capacity
     probability = stalls.probability
     draw = random.Random(stalls.seed).random if probability > 0.0 else None
     stalls_always = probability == 1.0
@@ -266,34 +274,39 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
     idle = 0
     prev_moves = 0
 
-    # the channels are empty after the reset, and so latched for cycle 0;
-    # every later latch happens at the end of the cycle before
+    # the channels are empty after the reset, and so latched for cycle 0.
+    # A channel is latched for the next cycle once its consumer has acted:
+    # its producer acted before, and nothing later in the cycle reads it
     while True:
+        # the frame was range-checked against this channel's width above
         if src_idx < frame_len and src.free:
-            src.put(frame[src_idx])
+            src_q.append(frame[src_idx])
+            src.pushed += 1
             src_idx += 1
 
-        for tick, cin, cout in ticks:
+        moves = 0
+        for tick, cin, cout, q, capacity in ticks:
             tick(cin, cout)
+            cin.head = q[0] if q else None
+            cin.free = len(q) < capacity
+            moves += cin.pushed + cin.popped
 
         done = False
         stalled = draw is not None and draw() < probability
         if stalled:
             stall_cycles += 1
         elif snk.head is not None:
-            beat = new_beat(Beat, snk.take())
+            beat = new_beat(Beat, snk.head)
+            del snk_q[0]
+            snk.popped += 1
             receive(beat)
             if first_output < 0:
                 first_output = cycle
             done = beat[1]
+        snk.head = snk_q[0] if snk_q else None
+        snk.free = len(snk_q) < snk_capacity
+        moves += snk.pushed + snk.popped
 
-        # latch the views for the next cycle, counting the beats moved
-        moves = 0
-        for ch in channels:
-            q = ch._q
-            ch.head = q[0] if q else None
-            ch.free = len(q) < ch.capacity
-            moves += ch.pushed + ch.popped
         if moves != prev_moves:
             idle = 0
             prev_moves = moves

@@ -124,6 +124,18 @@ class TestCompare:
         assert (tmp_path / "edges_hdl.bmp").exists()
         assert (tmp_path / "edges_hls.bmp").exists()
 
+    def test_output_base_in_dotted_directory(self, tmp_path):
+        # the dot in the directory name is not the start of an extension
+        src = tmp_path / "in.bmp"
+        write_input(src, 6, 6, lambda x, y: (x, y, 7))
+        (tmp_path / "a.b").mkdir()
+        rc = main(["compare", "--input", str(src),
+                   "--output", str(tmp_path / "a.b" / "edges"),
+                   "--report", str(tmp_path / "r.json")])
+        assert rc == 0
+        assert (tmp_path / "a.b" / "edges_hdl.bmp").exists()
+        assert (tmp_path / "a.b" / "edges_hls.bmp").exists()
+
 
 class TestBench:
     def test_sweep_layout_and_invariants(self, tmp_path):

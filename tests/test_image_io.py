@@ -6,7 +6,9 @@ decoder bug.
 """
 
 import math
+import random
 import struct
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,62 @@ class TestEncode:
         assert decoded.width == img.width
         assert decoded.height == img.height
         assert decoded.pixels == img.pixels
+
+
+class TestMutationFuzz:
+    """Seeded mutants of one small valid BMP: each decodes or raises a
+    declared codec error, and one whose pixel bytes alone changed
+    round-trips through the encoder."""
+
+    WIDTH, HEIGHT = 5, 3  # a 15-byte row in a 16-byte stride: one pad byte
+    DECLARED = (BadMagicError, UnsupportedFormatError, TruncatedError)
+
+    def mutants(self, rng, original):
+        stride = row_stride(self.WIDTH)
+        end = len(original)
+        for _ in range(600):  # header bytes
+            data = bytearray(original)
+            for _ in range(rng.randint(1, 3)):
+                data[rng.randrange(54)] = rng.randrange(256)
+            yield "header", bytes(data)
+        for _ in range(600):  # pixel bytes, never the row padding
+            data = bytearray(original)
+            for _ in range(rng.randint(1, 4)):
+                pos = 54 + rng.randrange(self.HEIGHT) * stride + rng.randrange(3 * self.WIDTH)
+                data[pos] = rng.randrange(256)
+            yield "pixels", bytes(data)
+        for _ in range(400):
+            yield "truncated", original[: rng.randrange(end)]
+        for _ in range(400):
+            yield "extended", original + rng.randbytes(rng.randint(1, 64))
+
+    def test_mutants_decode_or_raise_declared_errors(self):
+        rng = random.Random(20)
+        image = RgbImage(self.WIDTH, self.HEIGHT, [
+            (rng.randrange(256), rng.randrange(256), rng.randrange(256))
+            for _ in range(self.WIDTH * self.HEIGHT)
+        ])
+        original = write_bmp(image)
+        outcomes = Counter()
+        for kind, data in self.mutants(rng, original):
+            try:
+                decoded = read_bmp(data)
+            except self.DECLARED as exc:
+                outcomes[kind, type(exc).__name__] += 1
+                assert kind in ("header", "truncated"), (kind, data)
+                continue
+            outcomes[kind, "decoded"] += 1
+            assert len(decoded.pixels) == decoded.width * decoded.height
+            if kind == "pixels":
+                assert write_bmp(decoded) == data
+            elif kind == "extended":
+                assert decoded == image
+        assert sum(outcomes.values()) == 2000
+        # every mutation kind reached the outcome it exists to exercise
+        for key in [("header", "decoded"), ("header", "UnsupportedFormatError"),
+                    ("header", "BadMagicError"), ("truncated", "TruncatedError"),
+                    ("pixels", "decoded"), ("extended", "decoded")]:
+            assert outcomes[key], (key, outcomes)
 
 
 class TestRasterTypes:

@@ -54,6 +54,25 @@ class RegisterStage(ProcessingElement):
         self._reg = pin.take() if beat is not None else None
 
 
+class SumsFrame(ProcessingElement):
+    """Swallow a whole frame and emit one beat: the low byte of its sum."""
+
+    name = "sum"
+
+    def __init__(self):
+        self._acc = 0
+
+    def reset(self):
+        self._acc = 0
+
+    def tick(self, pin, pout):
+        if pin.head is not None and pout.free:
+            data, last = pin.take()
+            self._acc += data
+            if last:
+                pout.put(Beat(self._acc & 0xFF, True))
+
+
 class NeverConsumes(ProcessingElement):
     name = "stuck"
 
@@ -223,6 +242,13 @@ class TestRunFrame:
         with pytest.raises(DeadlockError) as err:
             run_frame(pipe, byte_frame([1] * 4), watchdog=5)
         assert "watchdog 5" in str(err.value)
+
+    def test_watchdog_counts_moves_inside_the_pipeline(self):
+        # nothing reaches the sink channel until the whole frame is in, but
+        # a beat moves on the source channel every cycle until then
+        pipe = build_pipeline([SumsFrame(), PassThrough()])
+        beats, _ = run_frame(pipe, byte_frame([1] * 12), watchdog=2)
+        assert beats == [Beat(12, True)]
 
     def test_flow_conservation(self):
         pipe = build_pipeline([RegisterStage(), RegisterStage()])
