@@ -21,13 +21,11 @@ from sobelsim import (
     SobelConfig,
     StallModel,
     build_pipeline,
+    edge_chain,
     estimate_resources,
-    rgb2gray_pe,
+    rgb_frame,
     run_frame,
-    sobel_pe,
-    u8_to_u32_pe,
 )
-from sobelsim.blocks import rgb_frame
 
 FULL_SWEEP = ((512, 512), (768, 512), (1920, 566), (1920, 1080))
 QUICK_SWEEP = ((128, 128), (512, 512))
@@ -45,8 +43,7 @@ def run_geometry(width, height, args):
 
     results = {}
     for variant in ("hdl", "hls"):
-        pipeline = build_pipeline(
-            [rgb2gray_pe(), sobel_pe(variant, config, args.hls_depth), u8_to_u32_pe()])
+        pipeline = build_pipeline(edge_chain(variant, config, args.hls_depth))
         started = time.perf_counter()
         beats, stats = run_frame(pipeline, frame, stalls)
         results[variant] = (beats, stats, time.perf_counter() - started)

@@ -10,16 +10,13 @@ from .blocks import (
     SobelHlsPE,
     U8ToU32PE,
     WidthTooLargeError,
+    edge_chain,
     gray_frame,
     gray_image_from_beats,
     magnitude,
-    rgb2gray_pe,
     rgb_frame,
-    sobel_hdl_pe,
-    sobel_hls_pe,
     sobel_kernel,
     sobel_pe,
-    u8_to_u32_pe,
     unpack_words,
 )
 from .image_io import (

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -138,7 +140,6 @@ class SobelConfig:
     width: int
     height: int
     magnitude_mode: str = "approx"
-    border_policy: str = "zero"
     line_buffer_depth: int = 1920
 
     def __post_init__(self):
@@ -146,8 +147,6 @@ class SobelConfig:
             raise ValueError("frame must be at least 3x3")
         if self.magnitude_mode not in ("approx", "exact"):
             raise ValueError(f"unknown magnitude mode {self.magnitude_mode!r}")
-        if self.border_policy != "zero":
-            raise ValueError("only the zero border policy is implemented")
         if self.width > self.line_buffer_depth:
             raise WidthTooLargeError(
                 f"width {self.width} exceeds line-buffer depth {self.line_buffer_depth}"
@@ -228,7 +227,39 @@ class U8ToU32PE(ProcessingElement):
                 self._count = count + 1
 
 
-class SobelHdlPE(ProcessingElement):
+class _SobelCore(ProcessingElement):
+    """State both Sobel cores share; each keeps its own datapath in tick().
+
+    A subclass sets row_rams, its number of row RAMs, and extends reset()
+    with its own registers.
+    """
+
+    def __init__(self, config: SobelConfig):
+        self.config = config
+        self.trace: Optional[list] = None
+        self._w = config.width
+        self._exact = config.magnitude_mode == "exact"
+        self._total = config.width * config.height
+        self._drain_start = self._total - config.width - 1
+        self._lb = tuple(LineBuffer(config.line_buffer_depth) for _ in range(self.row_rams))
+        self.reset()
+
+    def reset(self):
+        self._in_idx = 0
+        self._drain_pos = self._drain_start
+        self._tick = -1
+        for lb in self._lb:
+            lb.reset()
+        self._window = ZERO_WINDOW
+        if self.trace is not None:
+            self.trace.clear()
+
+    def _length_error(self, idx: int) -> ConfigMismatchError:
+        return ConfigMismatchError(f"frame length does not match {self.config.width}x"
+                                   f"{self.config.height} (last flag at beat {idx})")
+
+
+class SobelHdlPE(_SobelCore):
     """Sobel core with two line buffers and a four-stage manual pipeline.
 
     Stage 1 accepts a pixel and reads both row RAMs at its column; stage 2
@@ -246,35 +277,14 @@ class SobelHdlPE(ProcessingElement):
     """
 
     name = "sobel_hdl"
-    in_width = 8
-    out_width = 8
     stage_count = 4
-
-    def __init__(self, config: SobelConfig):
-        self.config = config
-        self.trace: Optional[list] = None
-        self._w = config.width
-        self._exact = config.magnitude_mode == "exact"
-        self._total = config.width * config.height
-        self._drain_start = self._total - config.width - 1
-        self._lb = (
-            LineBuffer(config.line_buffer_depth),
-            LineBuffer(config.line_buffer_depth),
-        )
-        self.reset()
+    row_rams = 2
 
     def reset(self):
-        self._in_idx = 0
-        self._drain_pos = self._drain_start
+        super().reset()
         self._s1 = None  # (out_pos, pixel, row, col, above2, above1); pixel None = drain
         self._s2 = None  # (out_pos, window or None)
         self._s3 = None  # (out_pos, beat)
-        self._tick = -1
-        self._lb[0].reset()
-        self._lb[1].reset()
-        self._window = ZERO_WINDOW
-        if self.trace is not None:
-            self.trace.clear()
 
     def tick(self, pin, pout):
         now = self._tick = self._tick + 1
@@ -327,10 +337,7 @@ class SobelHdlPE(ProcessingElement):
             else:
                 data, last = pin.take()
                 if last != (idx == self._total - 1):
-                    raise ConfigMismatchError(
-                        f"frame length does not match {self.config.width}x"
-                        f"{self.config.height} (last flag at beat {idx})"
-                    )
+                    raise self._length_error(idx)
                 row, col = divmod(idx, self._w)
                 above2 = self._lb[row & 1].read(col, now)  # row-2, overwritten next stage
                 above1 = self._lb[(row + 1) & 1].read(col, now)  # row-1
@@ -345,7 +352,7 @@ class SobelHdlPE(ProcessingElement):
             self._s1 = None
 
 
-class SobelHlsPE(ProcessingElement):
+class SobelHlsPE(_SobelCore):
     """Sobel core with three vertically rotating line buffers.
 
     Accepting pixel (row, col) rotates the column: top[col] takes mid[col],
@@ -353,9 +360,9 @@ class SobelHlsPE(ProcessingElement):
     values feed the sliding window, and once the two upper buffers are full
     and three pixels of the current row have arrived (2*width + 3 pixels in
     total) the window is convolved.  The finished value then travels a
-    register chain of pipeline_depth stages to the output, standing in for
-    whatever schedule a synthesis tool would have produced; the depth never
-    changes the emitted bytes.
+    register chain of pipeline_depth (stage_count) stages to the output,
+    standing in for whatever schedule a synthesis tool would have produced;
+    the depth never changes the emitted bytes.
 
     Assign a list to `trace` to record ("accept", t, index),
     ("fill", t, pixels_accepted) once, ("convolve", t, row, col) and
@@ -363,37 +370,21 @@ class SobelHlsPE(ProcessingElement):
     """
 
     name = "sobel_hls"
-    in_width = 8
-    out_width = 8
+    row_rams = 3
 
     def __init__(self, config: SobelConfig, pipeline_depth: int = 6):
         if pipeline_depth < 2:
             raise ValueError("pipeline depth must be at least 2")
-        self.config = config
-        self.pipeline_depth = pipeline_depth
         self.stage_count = pipeline_depth
-        self.trace: Optional[list] = None
-        self._w = config.width
-        self._exact = config.magnitude_mode == "exact"
-        self._total = config.width * config.height
-        self._drain_start = self._total - config.width - 1
-        self._lb = tuple(LineBuffer(config.line_buffer_depth) for _ in range(3))
-        self.reset()
+        super().__init__(config)
 
     def reset(self):
-        self._in_idx = 0
-        self._drain_pos = self._drain_start
+        super().reset()
         # register chain as a ring of (out_pos, beat) tokens; the slot at
         # _oldest is the one emitting, and the new token overwrites it
-        self._chain = [None] * (self.pipeline_depth - 1)
+        self._chain = [None] * (self.stage_count - 1)
         self._oldest = 0
         self._filled = False
-        self._tick = -1
-        for lb in self._lb:
-            lb.reset()
-        self._window = ZERO_WINDOW
-        if self.trace is not None:
-            self.trace.clear()
 
     def tick(self, pin, pout):
         now = self._tick = self._tick + 1
@@ -417,10 +408,7 @@ class SobelHlsPE(ProcessingElement):
             if pin.head is not None:
                 pixel, last = pin.take()
                 if last != (idx == self._total - 1):
-                    raise ConfigMismatchError(
-                        f"frame length does not match {self.config.width}x"
-                        f"{self.config.height} (last flag at beat {idx})"
-                    )
+                    raise self._length_error(idx)
                 row, col = divmod(idx, self._w)
                 top, mid, bot = self._lb
                 mid_old = mid.read(col, now)
@@ -458,22 +446,6 @@ class SobelHlsPE(ProcessingElement):
 # ---- factories ----------------------------------------------------------
 
 
-def rgb2gray_pe() -> Rgb2GrayPE:
-    return Rgb2GrayPE()
-
-
-def u8_to_u32_pe() -> U8ToU32PE:
-    return U8ToU32PE()
-
-
-def sobel_hdl_pe(config: SobelConfig) -> SobelHdlPE:
-    return SobelHdlPE(config)
-
-
-def sobel_hls_pe(config: SobelConfig, pipeline_depth: int = 6) -> SobelHlsPE:
-    return SobelHlsPE(config, pipeline_depth)
-
-
 def sobel_pe(variant: str, config: SobelConfig, pipeline_depth: int = 6):
     """Build either Sobel core by its variant tag ("hdl" or "hls")."""
     if variant == "hdl":
@@ -483,13 +455,32 @@ def sobel_pe(variant: str, config: SobelConfig, pipeline_depth: int = 6):
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def edge_chain(variant: str, config: SobelConfig, pipeline_depth: int = 6) -> list:
+    """The full edge chain, grayscale -> Sobel core -> word packer."""
+    return [Rgb2GrayPE(), sobel_pe(variant, config, pipeline_depth), U8ToU32PE()]
+
+
 # ---- frame packing helpers ----------------------------------------------
+
+
+# byte offsets of r, g and b inside a native-order 32-bit word
+_R, _G, _B = (2, 1, 0) if sys.byteorder == "little" else (1, 2, 3)
 
 
 def rgb_frame(image: RgbImage) -> list:
     """Flatten an RgbImage into 24-bit beats, (r << 16) | (g << 8) | b."""
-    beats = [new_beat(Beat, ((r << 16) | (g << 8) | b, False))
-             for r, g, b in image.pixels]
+    try:
+        rgb = bytes(chain.from_iterable(image.pixels))
+    except ValueError:
+        raise ValueError("RGB channel values must be within 0..255") from None
+    count = len(image.pixels)
+    if len(rgb) != 3 * count:
+        raise ValueError("every RGB pixel must be an (r, g, b) triple")
+    words = bytearray(4 * count)
+    words[_R::4], words[_G::4], words[_B::4] = rgb[0::3], rgb[1::3], rgb[2::3]
+    # new_beat(Beat, (word, False)) for every word, with no Python-level loop
+    beats = list(map(new_beat, repeat(Beat),
+                     zip(memoryview(words).cast("I"), repeat(False))))
     beats[-1] = Beat(beats[-1].data, True)
     return beats
 

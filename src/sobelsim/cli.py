@@ -20,32 +20,9 @@ import os
 import random
 import sys
 
-from .blocks import (
-    SobelConfig,
-    WidthTooLargeError,
-    rgb2gray_pe,
-    rgb_frame,
-    sobel_pe,
-    u8_to_u32_pe,
-    unpack_words,
-)
-from .image_io import (
-    BadMagicError,
-    DimensionMismatchError,
-    GrayImage,
-    RgbImage,
-    TruncatedError,
-    UnsupportedFormatError,
-    gray_to_rgb,
-    read_bmp,
-    write_bmp,
-)
-from .metrics import (
-    build_report,
-    estimate_resources,
-    serialize_report,
-    variant_summary,
-)
+from .blocks import SobelConfig, edge_chain, rgb_frame, unpack_words
+from .image_io import GrayImage, RgbImage, gray_to_rgb, read_bmp, write_bmp
+from .metrics import build_report, estimate_resources, serialize_report, serialize_run
 from .stream import DeadlockError, StallModel, build_pipeline, run_frame
 
 BENCH_STALL_PROBS = (0.0, 0.25, 0.5)
@@ -121,17 +98,16 @@ def _load_frame(path: str):
     return rgb_frame(image), image.width, image.height
 
 
+def _edge_pipeline(variant, width, height, args):
+    """The full edge chain of one core, configured from the model flags."""
+    config = SobelConfig(width, height, magnitude_mode=args.magnitude,
+                         line_buffer_depth=args.line_buffer_depth)
+    return build_pipeline(edge_chain(variant, config, args.hls_depth))
+
+
 def _run_variant(variant, frame, width, height, args):
     """Simulate one core over a frame; returns (gray output, stats)."""
-    config = SobelConfig(
-        width,
-        height,
-        magnitude_mode=args.magnitude,
-        line_buffer_depth=args.line_buffer_depth,
-    )
-    pipeline = build_pipeline(
-        [rgb2gray_pe(), sobel_pe(variant, config, args.hls_depth), u8_to_u32_pe()]
-    )
+    pipeline = _edge_pipeline(variant, width, height, args)
     stalls = StallModel(args.stall_prob, args.seed)
     words, stats = run_frame(pipeline, frame, stalls)
     pixels = unpack_words(words, width * height)
@@ -144,22 +120,10 @@ def cmd_process(args) -> int:
     with open(args.output, "wb") as fh:
         fh.write(write_bmp(gray_to_rgb(gray)))
     if args.report:
-        import json
-
         resources = estimate_resources(args.arch, width, args.hls_depth)
-        payload = {
-            "input": {
-                "width": width,
-                "height": height,
-                "magnitude_mode": args.magnitude,
-                "stall_prob": args.stall_prob,
-                "seed": args.seed,
-            },
-            args.arch: variant_summary(stats, resources),
-        }
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        with open(args.report, "wb") as fh:
+            fh.write(serialize_run(args.arch, stats, resources, width, height,
+                                   args.magnitude, args.stall_prob, args.seed))
     print(f"{args.arch}: {stats.total_cycles} cycles for {width}x{height}",
           file=sys.stderr)
     return 0
@@ -200,17 +164,9 @@ def cmd_bench(args) -> int:
     image = RgbImage(args.width, args.height, pixels)
     frame = rgb_frame(image)
 
-    config = SobelConfig(
-        image.width,
-        image.height,
-        magnitude_mode=args.magnitude,
-        line_buffer_depth=args.line_buffer_depth,
-    )
     lines = [BENCH_CSV_HEADER]
     for variant in ("hdl", "hls"):
-        pipeline = build_pipeline(
-            [rgb2gray_pe(), sobel_pe(variant, config, args.hls_depth), u8_to_u32_pe()]
-        )
+        pipeline = _edge_pipeline(variant, image.width, image.height, args)
         baseline = None
         for prob in BENCH_STALL_PROBS:
             beats, stats = run_frame(pipeline, frame, StallModel(prob, args.seed))
@@ -243,11 +199,8 @@ def main(argv=None) -> int:
     except DeadlockError as exc:
         print(f"sobelsim: deadlock: {exc}", file=sys.stderr)
         return 2
-    except (BadMagicError, UnsupportedFormatError, TruncatedError,
-            DimensionMismatchError, WidthTooLargeError, ValueError) as exc:
-        print(f"sobelsim: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # every codec and configuration error subclasses ValueError
         print(f"sobelsim: error: {exc}", file=sys.stderr)
         return 1
 

@@ -33,37 +33,26 @@ class DimensionMismatchError(ValueError):
 
 
 @dataclass
-class RgbImage:
+class _Raster:
+    width: int
+    height: int
+    pixels: list  # one entry per pixel, len == width * height
+
+    def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ValueError("image dimensions must be positive")
+        if len(self.pixels) != self.width * self.height:
+            raise ValueError(
+                f"expected {self.width * self.height} pixels, got {len(self.pixels)}"
+            )
+
+
+class RgbImage(_Raster):
     """Row-major, top-to-bottom raster of (r, g, b) byte triples."""
 
-    width: int
-    height: int
-    pixels: list  # [(r, g, b)] with len == width * height
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be positive")
-        if len(self.pixels) != self.width * self.height:
-            raise ValueError(
-                f"expected {self.width * self.height} pixels, got {len(self.pixels)}"
-            )
-
-
-@dataclass
-class GrayImage:
+class GrayImage(_Raster):
     """Row-major, top-to-bottom raster of 8-bit intensities."""
-
-    width: int
-    height: int
-    pixels: list  # [int] with len == width * height
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be positive")
-        if len(self.pixels) != self.width * self.height:
-            raise ValueError(
-                f"expected {self.width * self.height} pixels, got {len(self.pixels)}"
-            )
 
 
 def row_stride(width: int) -> int:

@@ -112,6 +112,12 @@ def build_report(
     )
 
 
+def input_summary(width, height, magnitude_mode, stall_prob, seed) -> dict:
+    """The JSON "input" block, shared by the run and comparison reports."""
+    return dict(width=width, height=height, magnitude_mode=magnitude_mode,
+                stall_prob=stall_prob, seed=seed)
+
+
 def variant_summary(stats: CycleStats, resources: ResourceEstimate) -> dict:
     """The per-variant JSON block, shared by every report flavour."""
     return {
@@ -131,13 +137,9 @@ def serialize_report(report: ComparisonReport, fmt: str = "json") -> bytes:
     """Render a report in one of the frozen schemas ("json" or "csv")."""
     if fmt == "json":
         payload = {
-            "input": {
-                "width": report.width,
-                "height": report.height,
-                "magnitude_mode": report.magnitude_mode,
-                "stall_prob": report.stall_prob,
-                "seed": report.seed,
-            },
+            "input": input_summary(report.width, report.height,
+                                   report.magnitude_mode, report.stall_prob,
+                                   report.seed),
             "hdl": variant_summary(report.hdl_stats, report.hdl_resources),
             "hls": variant_summary(report.hls_stats, report.hls_resources),
             "hamming_bits": report.hamming_bits,
@@ -158,3 +160,14 @@ def serialize_report(report: ComparisonReport, fmt: str = "json") -> bytes:
             )
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown report format {fmt!r}")
+
+
+def serialize_run(variant: str, stats: CycleStats, resources: ResourceEstimate,
+                  width: int, height: int, magnitude_mode: str = "approx",
+                  stall_prob: float = 0.0, seed: int = 0) -> bytes:
+    """Render one core's run summary: the input block and its variant block."""
+    payload = {
+        "input": input_summary(width, height, magnitude_mode, stall_prob, seed),
+        variant: variant_summary(stats, resources),
+    }
+    return (json.dumps(payload, indent=2) + "\n").encode()

@@ -118,16 +118,6 @@ class Channel:
         self.pushed = 0  # lifetime counters for flow-conservation checks
         self.popped = 0
 
-    @property
-    def valid(self) -> bool:
-        """Latched consumer view: a beat was available at the cycle start."""
-        return self.head is not None
-
-    @property
-    def ready(self) -> bool:
-        """Latched producer view: a slot was open at the cycle start."""
-        return self.free
-
     def begin_cycle(self):
         q = self._q
         self.head = q[0] if q else None
@@ -164,11 +154,15 @@ class ProcessingElement:
     channels.  A tick may take at most one beat and put at most one beat,
     judged against the cycle-start channel views.  reset() must restore the
     element to its power-on state so a pipeline can run several frames.
+    stage_count is the number of register stages a beat may spend inside
+    the element without any channel moving; run_frame's watchdog allows
+    for it.
     """
 
     name = "pe"
     in_width: int = 8
     out_width: int = 8
+    stage_count: int = 1
 
     def tick(self, pin: Channel, pout: Channel):
         raise NotImplementedError
@@ -186,6 +180,7 @@ class Pipeline:
         self.source_channel = self.channels[0]
         self.sink_channel = self.channels[-1]
         self.wiring = list(zip(self.elements, self.channels[:-1], self.channels[1:]))
+        self.stage_count = sum(pe.stage_count for pe in self.elements)
 
     def reset(self):
         for ch in self.channels:
@@ -242,7 +237,8 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
     first, so the same object can run any number of frames.
 
     The run aborts with DeadlockError if no channel moves a beat for more
-    than `watchdog` consecutive cycles (default: 10x the frame length).  A
+    than `watchdog` consecutive cycles (default: 10x the frame length plus
+    the elements' stage_count, which a deep element needs to fill).  A
     cycle in which the sink drew a stall does not count toward that, as
     the run may still be making progress, unless the sink stalls always
     (probability 1.0).
@@ -250,7 +246,7 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
     pipeline.reset()
     _validate_frame(frame, pipeline.source_channel.payload_width)
     if watchdog is None:
-        watchdog = 10 * len(frame)
+        watchdog = 10 * len(frame) + pipeline.stage_count
 
     # bound after the reset, so that a tick patched onto an instance is seen
     ticks = [(pe.tick, cin, cout, cin._q, cin.capacity)

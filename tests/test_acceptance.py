@@ -28,14 +28,13 @@ from sobelsim import (
     SobelConfig,
     StallModel,
     build_pipeline,
+    edge_chain,
     estimate_resources,
     magnitude,
     read_bmp,
-    rgb2gray_pe,
     run_frame,
     sobel_frame_reference,
     sobel_pe,
-    u8_to_u32_pe,
     write_bmp,
 )
 from sobelsim.blocks import gray_frame, rgb_frame
@@ -259,8 +258,7 @@ def test_criterion_6_backpressure_invariance():
         cfg = SobelConfig(64, 64)
         runs = 0
         for variant in ("hdl", "hls"):
-            pipe = build_pipeline(
-                [rgb2gray_pe(), sobel_pe(variant, cfg), u8_to_u32_pe()])
+            pipe = build_pipeline(edge_chain(variant, cfg))
             baseline, base_stats = run_frame(pipe, frame, NO_STALLS)
             assert base_stats.sink_stall_cycles == 0
             for prob in (0.25, 0.5):

@@ -20,21 +20,22 @@ from sobelsim import (
     GrayImage,
     LineBuffer,
     ProtocolError,
+    Rgb2GrayPE,
     RgbImage,
     SobelConfig,
     StallModel,
+    U8ToU32PE,
     WidthTooLargeError,
     build_pipeline,
+    edge_chain,
     gray_frame,
     magnitude,
     rgb2gray_frame_reference,
-    rgb2gray_pe,
     rgb_frame,
     run_frame,
     sobel_frame_reference,
     sobel_kernel,
     sobel_pe,
-    u8_to_u32_pe,
     unpack_words,
 )
 
@@ -177,13 +178,11 @@ class TestSobelConfig:
     def test_mode_and_border_validation(self):
         with pytest.raises(ValueError):
             SobelConfig(3, 3, magnitude_mode="manhattan")
-        with pytest.raises(ValueError):
-            SobelConfig(3, 3, border_policy="replicate")
 
 
 class TestRgb2Gray:
     def test_hand_computed_mean(self):
-        pipe = build_pipeline([rgb2gray_pe()])
+        pipe = build_pipeline([Rgb2GrayPE()])
         frame = [Beat((10 << 16) | (20 << 8) | 31, True)]
         beats, _ = run_frame(pipe, frame)
         assert beats == [Beat(20, True)]
@@ -198,26 +197,34 @@ class TestRgb2Gray:
     @settings(max_examples=40, deadline=None)
     def test_stream_matches_frame_reference(self, pixels):
         img = RgbImage(len(pixels), 1, pixels)
-        pipe = build_pipeline([rgb2gray_pe()])
+        pipe = build_pipeline([Rgb2GrayPE()])
         beats, _ = run_frame(pipe, rgb_frame(img))
         assert [b.data for b in beats] == rgb2gray_frame_reference(img).pixels
         assert [b.last for b in beats] == [False] * (len(pixels) - 1) + [True]
 
+    def test_rgb_frame_rejects_out_of_range_channels(self):
+        # a channel of 256 used to alias into its neighbour: (0, 256, 0)
+        # packed to the same word as (1, 0, 0)
+        assert rgb_frame(RgbImage(1, 1, [(1, 0, 0)])) == [Beat(65536, True)]
+        for pixel in ((0, 256, 0), (0, 0, -1), (1, 2)):
+            with pytest.raises(ValueError):
+                rgb_frame(RgbImage(1, 1, [pixel]))
+
     def test_single_register_stage_latency(self):
         img = RgbImage(8, 1, [(9, 9, 9)] * 8)
-        _, stats = run_frame(build_pipeline([rgb2gray_pe()]), rgb_frame(img))
+        _, stats = run_frame(build_pipeline([Rgb2GrayPE()]), rgb_frame(img))
         assert stats.total_cycles == 8 + 2
 
 
 class TestU8ToU32:
     def test_first_byte_is_least_significant(self):
-        pipe = build_pipeline([u8_to_u32_pe()])
+        pipe = build_pipeline([U8ToU32PE()])
         frame = [Beat(1), Beat(2), Beat(3), Beat(4, True)]
         beats, _ = run_frame(pipe, frame)
         assert beats == [Beat(0x04030201, True)]
 
     def test_short_tail_is_zero_padded(self):
-        pipe = build_pipeline([u8_to_u32_pe()])
+        pipe = build_pipeline([U8ToU32PE()])
         frame = [Beat(0xAA), Beat(0xBB), Beat(0xCC), Beat(0xDD), Beat(0xEE, True)]
         beats, _ = run_frame(pipe, frame)
         assert [b.data for b in beats] == [0xDDCCBBAA, 0x000000EE]
@@ -226,7 +233,7 @@ class TestU8ToU32:
     @given(st.lists(st.integers(0, 255), min_size=1, max_size=64))
     @settings(max_examples=40, deadline=None)
     def test_word_count_and_reassembly(self, data):
-        pipe = build_pipeline([u8_to_u32_pe()])
+        pipe = build_pipeline([U8ToU32PE()])
         frame = [Beat(v, i == len(data) - 1) for i, v in enumerate(data)]
         beats, stats = run_frame(pipe, frame)
         assert stats.output_beats == (len(data) + 3) // 4
@@ -306,6 +313,21 @@ class TestSobelCores:
             for seed in range(200):
                 out, _ = run_sobel(variant, img, stalls=StallModel(probability, seed))
                 assert out.pixels == want, (probability, seed)
+
+    def test_deep_hls_chain_is_not_a_deadlock(self):
+        # a deep register chain carries tokens for depth - 1 cycles with no
+        # channel moving; the default watchdog of 10x the 9-beat frame used
+        # to fire at depth 100 while the run was still making progress
+        img = GrayImage(3, 3, [0, 0, 255] * 3)
+        rgb = RgbImage(3, 3, [(v, v, v) for v in img.pixels])
+        want = sobel_frame_reference(img).pixels
+        config = SobelConfig(3, 3)
+        for depth in (100, 200):
+            out, _ = run_sobel("hls", img, pipeline_depth=depth)
+            assert out.pixels == want, depth
+            chain = build_pipeline(edge_chain("hls", config, depth))
+            words, _ = run_frame(chain, rgb_frame(rgb))
+            assert unpack_words(words, 9) == want, depth
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_backpressure_insensitivity(self, variant):
@@ -410,9 +432,7 @@ class TestFullChain:
         ])
         expected = sobel_frame_reference(rgb2gray_frame_reference(img)).pixels
         for variant in VARIANTS:
-            pipe = build_pipeline(
-                [rgb2gray_pe(), sobel_pe(variant, SobelConfig(w, h)), u8_to_u32_pe()]
-            )
+            pipe = build_pipeline(edge_chain(variant, SobelConfig(w, h)))
             words, stats = run_frame(pipe, rgb_frame(img))
             assert unpack_words(words, w * h) == expected
             assert stats.output_beats == (w * h + 3) // 4
@@ -426,9 +446,7 @@ class TestFullChain:
             for _ in range(w * h)
         ])
         for variant in VARIANTS:
-            pipe = build_pipeline(
-                [rgb2gray_pe(), sobel_pe(variant, SobelConfig(w, h)), u8_to_u32_pe()]
-            )
+            pipe = build_pipeline(edge_chain(variant, SobelConfig(w, h)))
             baseline, _ = run_frame(pipe, rgb_frame(img))
             stalled, _ = run_frame(pipe, rgb_frame(img), StallModel(0.7, seed=3))
             assert stalled == baseline
@@ -465,8 +483,10 @@ class TestConfigurationProperty:
             frame = gray_frame(img)
 
         for variant in VARIANTS:
-            core = sobel_pe(variant, config, depth)
-            elements = [rgb2gray_pe(), core, u8_to_u32_pe()] if full_chain else [core]
+            if full_chain:
+                elements = edge_chain(variant, config, depth)
+            else:
+                elements = [sobel_pe(variant, config, depth)]
             pipe = build_pipeline(elements, channel_capacity=capacity)
             cycles = []
             for stalls in (StallModel(), StallModel(stall_prob, stall_seed)):

@@ -82,6 +82,14 @@ class TestProcess:
                      "--seed", "3", "--input", str(src), "--output", str(rough)]) == 0
         assert calm.read_bytes() == rough.read_bytes()
 
+    def test_deep_hls_chain_is_not_a_deadlock(self, tmp_path):
+        src, dst = tmp_path / "in.bmp", tmp_path / "out.bmp"
+        write_input(src, 3, 3, lambda x, y: (255, 255, 255) if x == 2 else (0, 0, 0))
+        rc = main(["process", "--arch", "hls", "--hls-depth", "200",
+                   "--input", str(src), "--output", str(dst)])
+        assert rc == 0
+        assert read_edge_image(dst) == reference_edges(src)
+
 
 class TestCompare:
     def test_cores_agree_and_artifacts_land(self, tmp_path):

@@ -98,7 +98,7 @@ class TestChannel:
         ch.begin_cycle()
         ch.put(Beat(2))
         ch.begin_cycle()
-        assert not ch.ready  # both slots held at this cycle start
+        assert not ch.free  # both slots held at this cycle start
         assert ch.take() == Beat(1)
         ch.begin_cycle()
         assert ch.take() == Beat(2)
