@@ -12,7 +12,6 @@ from .blocks import (
     WidthTooLargeError,
     edge_chain,
     gray_frame,
-    gray_image_from_beats,
     magnitude,
     rgb_frame,
     sobel_kernel,
@@ -29,6 +28,7 @@ from .image_io import (
     gray_to_rgb,
     hamming_distance,
     read_bmp,
+    rgb_bytes,
     row_stride,
     write_bmp,
 )

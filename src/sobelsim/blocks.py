@@ -31,11 +31,11 @@ import math
 import struct
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .image_io import GrayImage, RgbImage
+from .image_io import GrayImage, RgbImage, rgb_bytes
 from .stream import Beat, ProcessingElement, ProtocolError, new_beat
 
 
@@ -58,7 +58,7 @@ class GradientPair(NamedTuple):
 
 
 class LineBuffer:
-    """One row of pixels modelled as a dual-port RAM.
+    """One row of pixels modelled as a dual-port RAM of `depth` byte cells.
 
     The discipline check mirrors the physical part: at most one read and
     one write per simulated cycle.  read() and write() take the caller's
@@ -133,8 +133,9 @@ def magnitude(g: GradientPair, mode: str = "approx") -> int:
 class SobelConfig:
     """Geometry and mode shared by both Sobel cores.
 
-    line_buffer_depth is the size the row RAMs are carved out at; frames
-    wider than that cannot be buffered, whatever the variant.
+    line_buffer_depth is the widest frame the row RAMs can be built for;
+    a wider frame raises WidthTooLargeError, whatever the variant.  Each
+    core builds its row RAMs `width` cells deep, one frame row each.
     """
 
     width: int
@@ -165,11 +166,8 @@ class Rgb2GrayPE(ProcessingElement):
     in_width = 24
     out_width = 8
 
-    def __init__(self):
-        self._reg: Optional[tuple] = None
-
     def reset(self):
-        self._reg = None
+        self._reg: Optional[tuple] = None
 
     def tick(self, pin, pout):
         reg = self._reg
@@ -197,15 +195,10 @@ class U8ToU32PE(ProcessingElement):
     in_width = 8
     out_width = 32
 
-    def __init__(self):
-        self._acc = 0
-        self._count = 0
-        self._reg: Optional[tuple] = None
-
     def reset(self):
         self._acc = 0
         self._count = 0
-        self._reg = None
+        self._reg: Optional[tuple] = None
 
     def tick(self, pin, pout):
         reg = self._reg
@@ -230,8 +223,8 @@ class U8ToU32PE(ProcessingElement):
 class _SobelCore(ProcessingElement):
     """State both Sobel cores share; each keeps its own datapath in tick().
 
-    A subclass sets row_rams, its number of row RAMs, and extends reset()
-    with its own registers.
+    A subclass sets row_rams, its number of row RAMs of one frame row each
+    (metrics.estimate_resources counts them), and extends reset().
     """
 
     def __init__(self, config: SobelConfig):
@@ -241,8 +234,8 @@ class _SobelCore(ProcessingElement):
         self._exact = config.magnitude_mode == "exact"
         self._total = config.width * config.height
         self._drain_start = self._total - config.width - 1
-        self._lb = tuple(LineBuffer(config.line_buffer_depth) for _ in range(self.row_rams))
-        self.reset()
+        self._lb = tuple(LineBuffer(config.width) for _ in range(self.row_rams))
+        super().__init__()
 
     def reset(self):
         self._in_idx = 0
@@ -469,13 +462,8 @@ _R, _G, _B = (2, 1, 0) if sys.byteorder == "little" else (1, 2, 3)
 
 def rgb_frame(image: RgbImage) -> list:
     """Flatten an RgbImage into 24-bit beats, (r << 16) | (g << 8) | b."""
-    try:
-        rgb = bytes(chain.from_iterable(image.pixels))
-    except ValueError:
-        raise ValueError("RGB channel values must be within 0..255") from None
+    rgb = rgb_bytes(image)
     count = len(image.pixels)
-    if len(rgb) != 3 * count:
-        raise ValueError("every RGB pixel must be an (r, g, b) triple")
     words = bytearray(4 * count)
     words[_R::4], words[_G::4], words[_B::4] = rgb[0::3], rgb[1::3], rgb[2::3]
     # new_beat(Beat, (word, False)) for every word, with no Python-level loop
@@ -490,11 +478,6 @@ def gray_frame(image: GrayImage) -> list:
     beats = [new_beat(Beat, (v, False)) for v in image.pixels]
     beats[-1] = Beat(beats[-1].data, True)
     return beats
-
-
-def gray_image_from_beats(beats, width: int, height: int) -> GrayImage:
-    """Reassemble 8-bit beats into a GrayImage."""
-    return GrayImage(width, height, [b.data for b in beats])
 
 
 def unpack_words(beats, byte_count: int) -> list:

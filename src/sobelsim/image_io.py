@@ -55,6 +55,20 @@ class GrayImage(_Raster):
     """Row-major, top-to-bottom raster of 8-bit intensities."""
 
 
+def rgb_bytes(image: RgbImage) -> bytes:
+    """The r, g, b channel bytes of an RgbImage, in raster order.
+
+    Raises ValueError for a pixel that is not an (r, g, b) triple or a
+    channel value outside 0..255.
+    """
+    if set(map(len, image.pixels)) != {3}:
+        raise ValueError("every RGB pixel must be an (r, g, b) triple")
+    try:
+        return bytes(chain.from_iterable(image.pixels))
+    except ValueError:
+        raise ValueError("RGB channel values must be within 0..255") from None
+
+
 def row_stride(width: int) -> int:
     """Bytes per stored BMP row: 3*width rounded up to a multiple of 4."""
     return (3 * width + 3) & ~3
@@ -110,7 +124,7 @@ def read_bmp(data: bytes) -> RgbImage:
 
 
 def write_bmp(image: RgbImage) -> bytes:
-    """Encode an RgbImage as a bottom-up 24-bpp uncompressed BMP."""
+    """Encode an RgbImage, flattened by rgb_bytes, as a bottom-up 24-bpp BMP."""
     stride = row_stride(image.width)
     image_size = stride * image.height
     header = struct.pack(
@@ -130,7 +144,7 @@ def write_bmp(image: RgbImage) -> bytes:
         0,
     )
     pad = bytes(stride - 3 * image.width)
-    bgr = bytearray(chain.from_iterable(image.pixels))
+    bgr = bytearray(rgb_bytes(image))
     bgr[0::3], bgr[2::3] = bgr[2::3], bgr[0::3]
     row_bytes = 3 * image.width
     out = bytearray(header)
@@ -154,14 +168,13 @@ def gray_to_rgb(image: GrayImage) -> RgbImage:
 def hamming_distance(a: RgbImage, b: RgbImage) -> int:
     """Number of differing bits between the channel bytes of two rasters.
 
-    Both images are flattened to their r, g, b byte sequence in raster order
-    and compared bitwise.  Raises DimensionMismatchError if the geometries
-    differ.
+    Both images are flattened by rgb_bytes and compared bitwise.  Raises
+    DimensionMismatchError if the geometries differ, and ValueError as
+    rgb_bytes does.
     """
     if (a.width, a.height) != (b.width, b.height):
         raise DimensionMismatchError(
             f"{a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    flat_a = bytes(chain.from_iterable(a.pixels))
-    flat_b = bytes(chain.from_iterable(b.pixels))
+    flat_a, flat_b = rgb_bytes(a), rgb_bytes(b)
     return (int.from_bytes(flat_a, "big") ^ int.from_bytes(flat_b, "big")).bit_count()

@@ -1,7 +1,7 @@
 """Resource estimates and machine-readable run reports.
 
-The resource model counts only what follows directly from the structure of
-each core: row RAMs, their words, the 3x3 window registers and the pipeline
+The resource model reads each core's structure off the core itself: its
+row RAMs of one frame row each, the 3x3 window registers and its pipeline
 stage registers.  Device-mapping details (mux trees, control FFs, tool
 packing) are out of scope, as are wall-clock milliseconds; timing lives
 entirely in cycle counts.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .blocks import ZERO_WINDOW, SobelConfig, sobel_pe
 from .image_io import RgbImage, hamming_distance
 from .stream import CycleStats
 
@@ -63,20 +64,13 @@ class ComparisonReport:
 def estimate_resources(variant: str, width: int, pipeline_depth: int = 6) -> ResourceEstimate:
     """Structural resource counts for one core at a given frame width.
 
-    The hdl core always holds two row RAMs and four stage registers; the
-    hls core holds three row RAMs and one register per pipeline stage.
-    Both keep the 3x3 window in nine registers.  RAM words scale with the
-    frame width actually configured.
+    Builds the core for a frame `width` pixels wide and counts its row
+    RAMs, their cells, its window registers and its stage registers; bad
+    arguments raise ValueError from SobelConfig, SobelHlsPE or sobel_pe.
     """
-    if width < 3:
-        raise ValueError("width must be at least 3")
-    if variant == "hdl":
-        return ResourceEstimate(2, 2 * width, 9, 4)
-    if variant == "hls":
-        if pipeline_depth < 2:
-            raise ValueError("pipeline depth must be at least 2")
-        return ResourceEstimate(3, 3 * width, 9, pipeline_depth)
-    raise ValueError(f"unknown variant {variant!r}")
+    core = sobel_pe(variant, SobelConfig(width, 3, line_buffer_depth=width), pipeline_depth)
+    return ResourceEstimate(core.row_rams, core.row_rams * width, len(ZERO_WINDOW),
+                            core.stage_count)
 
 
 def build_report(

@@ -152,8 +152,8 @@ class ProcessingElement:
     Subclasses declare in_width/out_width and implement tick(pin, pout),
     which is called exactly once per cycle with the upstream and downstream
     channels.  A tick may take at most one beat and put at most one beat,
-    judged against the cycle-start channel views.  reset() must restore the
-    element to its power-on state so a pipeline can run several frames.
+    judged against the cycle-start channel views.  reset() sets the power-on
+    state; the constructor and every run_frame call it.
     stage_count is the number of register stages a beat may spend inside
     the element without any channel moving; run_frame's watchdog allows
     for it.
@@ -163,6 +163,9 @@ class ProcessingElement:
     in_width: int = 8
     out_width: int = 8
     stage_count: int = 1
+
+    def __init__(self):
+        self.reset()
 
     def tick(self, pin: Channel, pout: Channel):
         raise NotImplementedError

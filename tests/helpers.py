@@ -11,7 +11,6 @@ from sobelsim import (
     SobelConfig,
     build_pipeline,
     gray_frame,
-    gray_image_from_beats,
     run_frame,
     sobel_pe,
 )
@@ -42,4 +41,4 @@ def run_sobel(variant: str, image: GrayImage, mode: str = "approx",
         pe.trace = trace
     pipeline = build_pipeline([pe])
     beats, stats = run_frame(pipeline, gray_frame(image), stalls)
-    return gray_image_from_beats(beats, image.width, image.height), stats
+    return GrayImage(image.width, image.height, [b.data for b in beats]), stats

@@ -9,6 +9,7 @@ import pytest
 from sobelsim import (
     GrayImage,
     RgbImage,
+    gray_to_rgb,
     read_bmp,
     rgb2gray_frame_reference,
     sobel_frame_reference,
@@ -198,6 +199,23 @@ class TestExitCodes:
         rc = main(["process", "--input", str(src),
                    "--output", str(tmp_path / "out.bmp")])
         assert rc == 1
+
+    def test_frame_wider_than_line_buffer_depth(self, tmp_path, capsys):
+        src, dst = tmp_path / "in.bmp", tmp_path / "out.bmp"
+        write_input(src, 5, 4, lambda x, y: (x * 50, y * 60, 7))
+        rc = main(["process", "--line-buffer-depth", "4",
+                   "--input", str(src), "--output", str(dst)])
+        assert rc == 1
+        assert "exceeds line-buffer depth" in capsys.readouterr().err
+        assert not dst.exists()
+
+    def test_frame_as_wide_as_line_buffer_depth(self, tmp_path):
+        src, dst = tmp_path / "in.bmp", tmp_path / "out.bmp"
+        write_input(src, 5, 4, lambda x, y: (x * 50, y * 60, 7))
+        rc = main(["process", "--line-buffer-depth", "5",
+                   "--input", str(src), "--output", str(dst)])
+        assert rc == 0
+        assert dst.read_bytes() == write_bmp(gray_to_rgb(reference_edges(src)))
 
     def test_always_stalled_sink_deadlocks(self, tmp_path):
         src = tmp_path / "in.bmp"

@@ -24,6 +24,8 @@ from sobelsim import (
     gray_to_rgb,
     hamming_distance,
     read_bmp,
+    rgb_bytes,
+    rgb_frame,
     row_stride,
     write_bmp,
 )
@@ -225,6 +227,18 @@ class TestRasterTypes:
     def test_gray_to_rgb_replicates(self):
         rgb = gray_to_rgb(GrayImage(2, 1, [0, 200]))
         assert rgb.pixels == [(0, 0, 0), (200, 200, 200)]
+
+    @pytest.mark.parametrize("pixels", [
+        [(1, 2), (3, 4, 5, 6)],  # six bytes in all, but no pixel is a triple
+        [(1, 2, 3), (4, 5, 256)],
+        [(-1, 2, 3), (4, 5, 6)],
+    ])
+    def test_every_flatten_rejects_a_malformed_pixel(self, pixels):
+        bad = RgbImage(2, 1, pixels)
+        good = RgbImage(2, 1, [(1, 2, 3), (4, 5, 6)])
+        for flatten in (rgb_bytes, rgb_frame, write_bmp, lambda img: hamming_distance(img, good)):
+            with pytest.raises(ValueError):
+                flatten(bad)
 
 
 class TestHamming:

@@ -1,18 +1,27 @@
 """Resource model and report serialization checks."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import random_gray
 from sobelsim import (
     ComparisonReport,
     CycleStats,
     DimensionMismatchError,
     ResourceEstimate,
     RgbImage,
+    SobelConfig,
+    build_pipeline,
     build_report,
     estimate_resources,
+    gray_frame,
+    run_frame,
     serialize_report,
+    sobel_pe,
 )
 from sobelsim.metrics import CSV_HEADER
 
@@ -59,6 +68,26 @@ class TestEstimateResources:
             estimate_resources("rtl", 64)
         with pytest.raises(ValueError):
             estimate_resources("hls", 64, 1)
+
+
+class TestTallyMatchesModel:
+    @given(
+        variant=st.sampled_from(["hdl", "hls"]),
+        width=st.integers(3, 40),
+        depth=st.integers(2, 9),
+        spare=st.integers(0, 2000),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_estimate_counts_the_cores_row_rams(self, variant, width, depth, spare, seed):
+        config = SobelConfig(width, 3, line_buffer_depth=width + spare)
+        core = sobel_pe(variant, config, depth)
+        assert [len(lb.cells) for lb in core._lb] == [width] * core.row_rams
+        run_frame(build_pipeline([core]), gray_frame(random_gray(random.Random(seed), width, 3)))
+        cells = [len(lb.cells) for lb in core._lb]
+        assert cells == [width] * core.row_rams
+        assert estimate_resources(variant, width, depth) == ResourceEstimate(
+            len(cells), sum(cells), 9, core.stage_count)
 
 
 class TestBuildReport:
