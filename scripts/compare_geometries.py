@@ -37,8 +37,7 @@ def run_geometry(width, height, args):
                      [(rng.randrange(256), rng.randrange(256), rng.randrange(256))
                       for _ in range(width * height)])
     frame = rgb_frame(image)
-    config = SobelConfig(width, height, magnitude_mode=args.magnitude,
-                         line_buffer_depth=max(1920, width))
+    config = SobelConfig(width, height, magnitude_mode=args.magnitude)
     stalls = StallModel(args.stall_prob, args.seed)
 
     results = {}

@@ -9,7 +9,6 @@ from .blocks import (
     SobelHdlPE,
     SobelHlsPE,
     U8ToU32PE,
-    WidthTooLargeError,
     edge_chain,
     gray_frame,
     magnitude,

@@ -43,10 +43,6 @@ class ConfigMismatchError(RuntimeError):
     """The incoming frame does not match the configured geometry."""
 
 
-class WidthTooLargeError(ValueError):
-    """Configured image width exceeds the line-buffer depth."""
-
-
 # ---- convolution primitives ------------------------------------------
 
 
@@ -133,25 +129,19 @@ def magnitude(g: GradientPair, mode: str = "approx") -> int:
 class SobelConfig:
     """Geometry and mode shared by both Sobel cores.
 
-    line_buffer_depth is the widest frame the row RAMs can be built for;
-    a wider frame raises WidthTooLargeError, whatever the variant.  Each
-    core builds its row RAMs `width` cells deep, one frame row each.
+    Each core builds its row RAMs `width` cells deep, one frame row each,
+    so any frame of at least 3x3 fits.
     """
 
     width: int
     height: int
     magnitude_mode: str = "approx"
-    line_buffer_depth: int = 1920
 
     def __post_init__(self):
         if self.width < 3 or self.height < 3:
             raise ValueError("frame must be at least 3x3")
         if self.magnitude_mode not in ("approx", "exact"):
             raise ValueError(f"unknown magnitude mode {self.magnitude_mode!r}")
-        if self.width > self.line_buffer_depth:
-            raise WidthTooLargeError(
-                f"width {self.width} exceeds line-buffer depth {self.line_buffer_depth}"
-            )
 
 
 # ---- processing elements ------------------------------------------------

@@ -47,8 +47,6 @@ def _add_model_flags(sub):
                      help="sink stall probability per cycle (default: 0)")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for the stall model (default: 0)")
-    sub.add_argument("--line-buffer-depth", type=int, default=1920, metavar="N",
-                     help="row RAM depth in pixels (default: 1920)")
     sub.add_argument("--hls-depth", type=int, default=6, metavar="N",
                      help="hls core pipeline depth (default: 6)")
 
@@ -84,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for the frame contents and the stall models")
     b.add_argument("--report", required=True, help="CSV of per-run cycle stats")
     b.add_argument("--magnitude", choices=("approx", "exact"), default="approx")
-    b.add_argument("--line-buffer-depth", type=int, default=1920, metavar="N")
     b.add_argument("--hls-depth", type=int, default=6, metavar="N")
     b.set_defaults(func=cmd_bench)
 
@@ -100,8 +97,7 @@ def _load_frame(path: str):
 
 def _edge_pipeline(variant, width, height, args):
     """The full edge chain of one core, configured from the model flags."""
-    config = SobelConfig(width, height, magnitude_mode=args.magnitude,
-                         line_buffer_depth=args.line_buffer_depth)
+    config = SobelConfig(width, height, magnitude_mode=args.magnitude)
     return build_pipeline(edge_chain(variant, config, args.hls_depth))
 
 
@@ -158,15 +154,16 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    # both cores check their settings before any frame is built
+    pipelines = [(variant, _edge_pipeline(variant, args.width, args.height, args))
+                 for variant in ("hdl", "hls")]
     rng = random.Random(args.seed)
     pixels = [(rng.randrange(256), rng.randrange(256), rng.randrange(256))
               for _ in range(args.width * args.height)]
-    image = RgbImage(args.width, args.height, pixels)
-    frame = rgb_frame(image)
+    frame = rgb_frame(RgbImage(args.width, args.height, pixels))
 
     lines = [BENCH_CSV_HEADER]
-    for variant in ("hdl", "hls"):
-        pipeline = _edge_pipeline(variant, image.width, image.height, args)
+    for variant, pipeline in pipelines:
         baseline = None
         for prob in BENCH_STALL_PROBS:
             beats, stats = run_frame(pipeline, frame, StallModel(prob, args.seed))

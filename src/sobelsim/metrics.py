@@ -68,7 +68,7 @@ def estimate_resources(variant: str, width: int, pipeline_depth: int = 6) -> Res
     RAMs, their cells, its window registers and its stage registers; bad
     arguments raise ValueError from SobelConfig, SobelHlsPE or sobel_pe.
     """
-    core = sobel_pe(variant, SobelConfig(width, 3, line_buffer_depth=width), pipeline_depth)
+    core = sobel_pe(variant, SobelConfig(width, 3), pipeline_depth)
     return ResourceEstimate(core.row_rams, core.row_rams * width, len(ZERO_WINDOW),
                             core.stage_count)
 

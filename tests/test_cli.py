@@ -15,6 +15,7 @@ from sobelsim import (
     sobel_frame_reference,
     write_bmp,
 )
+from sobelsim import cli
 from sobelsim.cli import BENCH_CSV_HEADER, main
 
 
@@ -173,6 +174,23 @@ class TestBench:
         assert main(args + ["--report", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--width", "400", "--height", "400", "--hls-depth", "1"],
+         "pipeline depth must be at least 2"),
+        (["--width", "2", "--height", "400"], "frame must be at least 3x3"),
+    ], ids=["hls_depth", "width"])
+    def test_settings_checked_before_the_frame_is_built(self, tmp_path, capsys,
+                                                        monkeypatch, flags, message):
+        def spy(image):
+            raise AssertionError("rgb_frame called before the settings were checked")
+
+        monkeypatch.setattr(cli, "rgb_frame", spy)
+        report = tmp_path / "bench.csv"
+        rc = main(["bench", "--seed", "1", "--report", str(report)] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err == f"sobelsim: error: {message}\n"
+        assert not report.exists()
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
@@ -200,20 +218,11 @@ class TestExitCodes:
                    "--output", str(tmp_path / "out.bmp")])
         assert rc == 1
 
-    def test_frame_wider_than_line_buffer_depth(self, tmp_path, capsys):
+    def test_frame_wider_than_1920_runs(self, tmp_path):
+        # each row RAM is one frame row deep, so no width is too wide
         src, dst = tmp_path / "in.bmp", tmp_path / "out.bmp"
-        write_input(src, 5, 4, lambda x, y: (x * 50, y * 60, 7))
-        rc = main(["process", "--line-buffer-depth", "4",
-                   "--input", str(src), "--output", str(dst)])
-        assert rc == 1
-        assert "exceeds line-buffer depth" in capsys.readouterr().err
-        assert not dst.exists()
-
-    def test_frame_as_wide_as_line_buffer_depth(self, tmp_path):
-        src, dst = tmp_path / "in.bmp", tmp_path / "out.bmp"
-        write_input(src, 5, 4, lambda x, y: (x * 50, y * 60, 7))
-        rc = main(["process", "--line-buffer-depth", "5",
-                   "--input", str(src), "--output", str(dst)])
+        write_input(src, 1921, 3, lambda x, y: (x % 256, y * 60, (x * y) % 256))
+        rc = main(["process", "--input", str(src), "--output", str(dst)])
         assert rc == 0
         assert dst.read_bytes() == write_bmp(gray_to_rgb(reference_edges(src)))
 

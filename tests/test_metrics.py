@@ -75,13 +75,11 @@ class TestTallyMatchesModel:
         variant=st.sampled_from(["hdl", "hls"]),
         width=st.integers(3, 40),
         depth=st.integers(2, 9),
-        spare=st.integers(0, 2000),
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
-    def test_estimate_counts_the_cores_row_rams(self, variant, width, depth, spare, seed):
-        config = SobelConfig(width, 3, line_buffer_depth=width + spare)
-        core = sobel_pe(variant, config, depth)
+    def test_estimate_counts_the_cores_row_rams(self, variant, width, depth, seed):
+        core = sobel_pe(variant, SobelConfig(width, 3), depth)
         assert [len(lb.cells) for lb in core._lb] == [width] * core.row_rams
         run_frame(build_pipeline([core]), gray_frame(random_gray(random.Random(seed), width, 3)))
         cells = [len(lb.cells) for lb in core._lb]
