@@ -108,7 +108,10 @@ def sobel_kernel(window: tuple, exact: bool = False) -> int:
     p00, p01, p02, p10, _, p12, p20, p21, p22 = window
     gh = p02 - p00 + 2 * (p12 - p10) + p22 - p20
     gv = p20 - p00 + 2 * (p21 - p01) + p22 - p02
-    return _saturated(gh, gv, exact)
+    if exact:
+        return _saturated(gh, gv, True)
+    mag = abs(gh) + abs(gv)  # _saturated's approx form, inline on the hot path
+    return 255 if mag > 255 else mag
 
 
 def magnitude(g: GradientPair, mode: str = "approx") -> int:
@@ -167,7 +170,7 @@ class Rgb2GrayPE(ProcessingElement):
             pout.put(reg)
         if pin.head is not None:
             word, last = pin.take()
-            gray = (((word >> 16) & 0xFF) + ((word >> 8) & 0xFF) + (word & 0xFF)) // 3
+            gray = ((word >> 16) + ((word >> 8) & 0xFF) + (word & 0xFF)) // 3  # word < 2**24
             self._reg = (gray, last)
         else:
             self._reg = None
@@ -223,6 +226,7 @@ class _SobelCore(ProcessingElement):
         self._w = config.width
         self._exact = config.magnitude_mode == "exact"
         self._total = config.width * config.height
+        self._last = self._total - 1  # raster index of the last-flagged beat
         self._drain_start = self._total - config.width - 1
         self._lb = tuple(LineBuffer(config.width) for _ in range(self.row_rams))
         super().__init__()
@@ -294,7 +298,7 @@ class SobelHdlPE(_SobelCore):
                 value = sobel_kernel(win, self._exact)
                 if trace is not None:
                     trace.append(("convolve", now, out_pos // self._w, out_pos % self._w))
-            self._s3 = (out_pos, (value, out_pos == self._total - 1))
+            self._s3 = (out_pos, (value, out_pos == self._last))
 
         # stage 2: shift the window, write the pixel over the oldest row
         s1 = self._s1
@@ -319,7 +323,7 @@ class SobelHdlPE(_SobelCore):
                 self._s1 = None
             else:
                 data, last = pin.take()
-                if last != (idx == self._total - 1):
+                if last != (idx == self._last):
                     raise self._length_error(idx)
                 row, col = divmod(idx, self._w)
                 above2 = self._lb[row & 1].read(col, now)  # row-2, overwritten next stage
@@ -390,7 +394,7 @@ class SobelHlsPE(_SobelCore):
         if idx < self._total:
             if pin.head is not None:
                 pixel, last = pin.take()
-                if last != (idx == self._total - 1):
+                if last != (idx == self._last):
                     raise self._length_error(idx)
                 row, col = divmod(idx, self._w)
                 top, mid, bot = self._lb
@@ -415,10 +419,10 @@ class SobelHlsPE(_SobelCore):
                 else:
                     value = 0
                 out_pos = idx - self._w - 1
-                token = (out_pos, (value, out_pos == self._total - 1))
+                token = (out_pos, (value, out_pos == self._last))
         elif self._drain_pos < self._total:
             out_pos = self._drain_pos
-            token = (out_pos, (0, out_pos == self._total - 1))
+            token = (out_pos, (0, out_pos == self._last))
             self._drain_pos = out_pos + 1
 
         chain[oldest] = token
@@ -450,24 +454,25 @@ def edge_chain(variant: str, config: SobelConfig, pipeline_depth: int = 6) -> li
 _R, _G, _B = (2, 1, 0) if sys.byteorder == "little" else (1, 2, 3)
 
 
+def _frame(words) -> list:
+    """Beats of the payload words, the last one flagged, with no Python-level loop."""
+    beats = list(map(new_beat, repeat(Beat), zip(words, repeat(False))))
+    beats[-1] = new_beat(Beat, (beats[-1][0], True))
+    return beats
+
+
 def rgb_frame(image: RgbImage) -> list:
     """Flatten an RgbImage into 24-bit beats, (r << 16) | (g << 8) | b."""
     rgb = rgb_bytes(image)
     count = len(image.pixels)
     words = bytearray(4 * count)
     words[_R::4], words[_G::4], words[_B::4] = rgb[0::3], rgb[1::3], rgb[2::3]
-    # new_beat(Beat, (word, False)) for every word, with no Python-level loop
-    beats = list(map(new_beat, repeat(Beat),
-                     zip(memoryview(words).cast("I"), repeat(False))))
-    beats[-1] = Beat(beats[-1].data, True)
-    return beats
+    return _frame(memoryview(words).cast("I"))
 
 
 def gray_frame(image: GrayImage) -> list:
     """Flatten a GrayImage into 8-bit beats."""
-    beats = [new_beat(Beat, (v, False)) for v in image.pixels]
-    beats[-1] = Beat(beats[-1].data, True)
-    return beats
+    return _frame(image.pixels)
 
 
 def unpack_words(beats, byte_count: int) -> list:

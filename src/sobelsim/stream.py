@@ -69,8 +69,7 @@ class StallModel:
 NO_STALLS = StallModel()
 
 
-@dataclass(frozen=True)
-class CycleStats:
+class CycleStats(NamedTuple):
     """Timing summary of one frame through one pipeline.
 
     Cycle numbers are 0-based indices of scheduler cycles; total_cycles is
@@ -93,8 +92,7 @@ class Channel:
     take or a put into an already-claimed slot a ProtocolError.
     """
 
-    __slots__ = ("payload_width", "capacity", "_max", "_q", "head", "free",
-                 "pushed", "popped")
+    __slots__ = ("payload_width", "capacity", "_q", "head", "free", "moves")
 
     def __init__(self, payload_width: int, capacity: int = 2):
         if payload_width not in PAYLOAD_WIDTHS:
@@ -103,7 +101,6 @@ class Channel:
             raise ValueError("channel capacity must be at least 1")
         self.payload_width = payload_width
         self.capacity = capacity
-        self._max = 1 << payload_width
         self._q: list = []
         self.reset()
 
@@ -111,12 +108,22 @@ class Channel:
         return len(self._q)
 
     def reset(self):
-        """Empty the channel and zero its lifetime counters."""
+        """Empty the channel and zero its lifetime counter."""
         self._q.clear()
         self.head: Optional[Beat] = None  # latched consumer view
         self.free = True  # latched producer view
-        self.pushed = 0  # lifetime counters for flow-conservation checks
-        self.popped = 0
+        self.moves = 0  # puts plus takes since the reset
+
+    # a put adds a beat and a take removes one, so len(_q) == pushed - popped
+    @property
+    def pushed(self) -> int:
+        """Beats put since the reset."""
+        return (self.moves + len(self._q)) >> 1
+
+    @property
+    def popped(self) -> int:
+        """Beats taken since the reset."""
+        return (self.moves - len(self._q)) >> 1
 
     def begin_cycle(self):
         q = self._q
@@ -130,20 +137,20 @@ class Channel:
             raise ProtocolError("take on a channel with no visible beat")
         self.head = None
         del self._q[0]
-        self.popped += 1
+        self.moves += 1
         return beat
 
     # -- producer side -------------------------------------------------
     def put(self, beat: Beat):
         if not self.free:
             raise ProtocolError("put on a channel with no free slot")
-        if not 0 <= beat[0] < self._max:
+        if beat[0] >> self.payload_width:  # nonzero for x < 0 and x >= 2**width
             raise ValueError(
                 f"beat data {beat[0]:#x} exceeds {self.payload_width}-bit payload"
             )
         self.free = False
         self._q.append(beat)
-        self.pushed += 1
+        self.moves += 1
 
 
 class ProcessingElement:
@@ -212,21 +219,21 @@ def build_pipeline(elements, channel_capacity: int = 2) -> Pipeline:
 def _validate_frame(frame, payload_width: int):
     if not frame:
         raise ValueError("frame must contain at least one beat")
-    limit = 1 << payload_width
     final = len(frame) - 1
     early_last = False
     # one pass; a range error still wins over a misplaced last flag.  The
     # index, not the beat, tells the final beat: a frame may repeat a Beat
     for i, (data, last) in enumerate(frame):
-        if not 0 <= data < limit:
-            raise ValueError(
-                f"frame beat {data:#x} exceeds {payload_width}-bit payload"
-            )
+        try:
+            if data >> payload_width:
+                raise ValueError(f"frame beat {data:#x} exceeds {payload_width}-bit payload")
+        except TypeError:
+            raise ValueError(f"frame beat {data!r} is not an integer") from None
         if last and i != final:
             early_last = True
     if early_last:
         raise ValueError("last flag set before the final beat")
-    if not frame[-1].last:
+    if not frame[-1][1]:
         raise ValueError("final beat must carry the last flag")
 
 
@@ -269,9 +276,11 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
     src_idx = 0
     cycle = 0
     stall_cycles = 0
+    stalled_at = -1  # the last cycle in which the sink drew a stall
     first_output = -1
     idle = 0
     prev_moves = 0
+    done = False  # set once, by the beat that ends the run
 
     # the channels are empty after the reset, and so latched for cycle 0.
     # A channel is latched for the next cycle once its consumer has acted:
@@ -280,7 +289,7 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
         # the frame was range-checked against this channel's width above
         if src_idx < frame_len and src.free:
             src_q.append(frame[src_idx])
-            src.pushed += 1
+            src.moves += 1
             src_idx += 1
 
         moves = 0
@@ -288,28 +297,27 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
             tick(cin, cout)
             cin.head = q[0] if q else None
             cin.free = len(q) < capacity
-            moves += cin.pushed + cin.popped
+            moves += cin.moves
 
-        done = False
-        stalled = draw is not None and draw() < probability
-        if stalled:
+        if draw is not None and draw() < probability:
             stall_cycles += 1
+            stalled_at = cycle
         elif snk.head is not None:
             beat = new_beat(Beat, snk.head)
             del snk_q[0]
-            snk.popped += 1
+            snk.moves += 1
             receive(beat)
             if first_output < 0:
                 first_output = cycle
             done = beat[1]
         snk.head = snk_q[0] if snk_q else None
         snk.free = len(snk_q) < snk_capacity
-        moves += snk.pushed + snk.popped
+        moves += snk.moves
 
         if moves != prev_moves:
             idle = 0
             prev_moves = moves
-        elif not stalled or stalls_always:
+        elif stalled_at != cycle or stalls_always:
             idle += 1
             if idle > watchdog:
                 raise DeadlockError(
@@ -321,10 +329,6 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
             break
         cycle += 1
 
-    stats = CycleStats(
-        total_cycles=cycle,
-        first_output_cycle=first_output,
-        output_beats=len(received),
-        sink_stall_cycles=stall_cycles,
-    )
-    return received, stats
+    # CycleStats(*stats) without the Python-level NamedTuple.__new__
+    stats = (cycle, first_output, len(received), stall_cycles)
+    return received, tuple.__new__(CycleStats, stats)

@@ -574,7 +574,10 @@ class TestWindowRouting:
     The cores' control depends on positions only, never on pixel values.
     Two coordinate-coded frames, pixel = row and pixel = column, show that
     the k-th sobel_kernel call gets the k-th interior pixel's neighbourhood
-    in tap order, and that every border position emits 0.
+    in tap order, and that every border position emits 0.  Each geometry
+    runs in both magnitude modes, which take separate paths in the kernel;
+    channel capacity and hls depth rotate with the geometry, so that every
+    capacity 1-3 meets every width and every height in each mode.
     """
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -590,18 +593,21 @@ class TestWindowRouting:
         monkeypatch.setattr(blocks, "sobel_kernel", recording_kernel)
         for w in range(3, 41):
             for h in range(3, 13):
-                pipe = build_pipeline([sobel_pe(variant, SobelConfig(w, h))])
                 interior = [(r, c) for r in range(1, h - 1) for c in range(1, w - 1)]
-                for code in (lambda r, c: r % 256, lambda r, c: c % 256):
-                    img = GrayImage(w, h, [code(r, c) for r in range(h) for c in range(w)])
-                    calls.clear()
-                    beats, _ = run_frame(pipe, gray_frame(img),
-                                         StallModel(0.3, seed=100 * w + h))
-                    assert [window for window, _ in calls] == [
-                        tuple(code(r + dr, c + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1))
-                        for r, c in interior
-                    ], (w, h)
-                    expected = [0] * (w * h)
-                    for (r, c), (_, value) in zip(interior, calls):
-                        expected[r * w + c] = value
-                    assert [b.data for b in beats] == expected, (w, h)
+                for m, mode in enumerate(("approx", "exact")):
+                    core = sobel_pe(variant, SobelConfig(w, h, mode), 2 + (w + 3 * h) % 8)
+                    pipe = build_pipeline([core], 1 + (w + h + m) % 3)
+                    for code in (lambda r, c: r % 256, lambda r, c: c % 256):
+                        img = GrayImage(w, h, [code(r, c) for r in range(h) for c in range(w)])
+                        calls.clear()
+                        beats, _ = run_frame(pipe, gray_frame(img),
+                                             StallModel(0.3, seed=100 * w + h))
+                        assert [window for window, _ in calls] == [
+                            tuple(code(r + dr, c + dc)
+                                  for dr in (-1, 0, 1) for dc in (-1, 0, 1))
+                            for r, c in interior
+                        ], (w, h, mode)
+                        expected = [0] * (w * h)
+                        for (r, c), (_, value) in zip(interior, calls):
+                            expected[r * w + c] = value
+                        assert [b.data for b in beats] == expected, (w, h, mode)

@@ -247,6 +247,14 @@ def test_module_runs_as_script(tmp_path):
     assert "process" in proc.stdout and "compare" in proc.stdout
 
 
+def test_importing_the_main_module_runs_nothing():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sobelsim.__main__"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("geometry", [(512, 512), (768, 512), (1920, 566), (1920, 1080)])
 def test_compare_large_geometries(tmp_path, geometry):

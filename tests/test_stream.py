@@ -7,19 +7,25 @@ register stage adds one more.  Cycle numbers in CycleStats are the 0-based
 scheduler cycles in which the sink accepted a beat.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_rgb
 from sobelsim import (
     Beat,
     Channel,
     DeadlockError,
     ProcessingElement,
     ProtocolError,
+    SobelConfig,
     StallModel,
     WidthMismatchError,
     build_pipeline,
+    edge_chain,
+    rgb_frame,
     run_frame,
 )
 
@@ -110,6 +116,33 @@ class TestChannel:
         with pytest.raises(ValueError):
             ch.put(Beat(256))
 
+    @pytest.mark.parametrize("width", [8, 24, 32])
+    def test_payload_bounds(self, width):
+        ch = Channel(width)
+        for data in (-1, 1 << width, -(1 << width)):
+            ch.begin_cycle()
+            with pytest.raises(ValueError, match="exceeds"):
+                ch.put(Beat(data))
+        for data in (0, (1 << width) - 1):
+            ch.begin_cycle()
+            ch.put(Beat(data))
+        assert ch.pushed == 2
+
+    def test_counters_follow_moves(self):
+        ch = Channel(8, capacity=3)
+        for data in (1, 2, 3):
+            ch.begin_cycle()
+            ch.put(Beat(data))
+        ch.begin_cycle()
+        ch.take()
+        assert (ch.moves, ch.pushed, ch.popped, len(ch)) == (4, 3, 1, 2)
+        with pytest.raises(AttributeError):
+            ch.pushed = 0
+        with pytest.raises(AttributeError):
+            ch.popped = 0
+        ch.reset()
+        assert (ch.moves, ch.pushed, ch.popped, len(ch)) == (0, 0, 0, 0)
+
     def test_latched_views_limit_one_action_per_cycle(self):
         ch = Channel(8, capacity=4)
         ch.begin_cycle()
@@ -183,6 +216,20 @@ class TestRunFrame:
         with pytest.raises(ValueError):
             run_frame(pipe, [Beat(300, True)])
 
+    def test_frame_of_plain_pairs_accepted(self):
+        # elements pass each other (data, last) tuples; a frame may be one
+        pipe = build_pipeline([PassThrough()])
+        beats, _ = run_frame(pipe, [(1, False), (2, True)])
+        assert beats == [Beat(1, False), Beat(2, True)]
+        with pytest.raises(ValueError, match="final beat must carry the last flag"):
+            run_frame(pipe, [(1, False), (2, False)])
+
+    @pytest.mark.parametrize("data", [1.5, 2.0, "1", None])
+    def test_non_integer_payload_rejected(self, data):
+        pipe = build_pipeline([PassThrough()])
+        with pytest.raises(ValueError, match="is not an integer"):
+            run_frame(pipe, [Beat(1), Beat(data, True)])
+
     def test_determinism_under_random_stalls(self):
         pipe = build_pipeline([RegisterStage()])
         frame = byte_frame(list(range(32)))
@@ -250,11 +297,53 @@ class TestRunFrame:
         beats, _ = run_frame(pipe, byte_frame([1] * 12), watchdog=2)
         assert beats == [Beat(12, True)]
 
-    def test_flow_conservation(self):
-        pipe = build_pipeline([RegisterStage(), RegisterStage()])
-        run_frame(pipe, byte_frame(list(range(12))))
-        for ch in pipe.channels:
-            assert ch.pushed == ch.popped + len(ch)
+    def test_channel_counts_match_the_frame(self):
+        # the counts perfbench/tracing.py reads after a run, against numbers
+        # fixed by the frame: every element takes and emits each beat once,
+        # except the 4:1 packer, and every channel ends empty
+        rng = random.Random(11)
+        for variant in ("hdl", "hls"):
+            for w, h, p in ((3, 3, 0.0), (5, 3, 0.4), (7, 6, 0.0), (6, 5, 0.7)):
+                pipe = build_pipeline(edge_chain(variant, SobelConfig(w, h)))
+                beats, _ = run_frame(pipe, rgb_frame(random_rgb(rng, w, h)),
+                                     StallModel(p, seed=w * h))
+                n = w * h
+                assert len(beats) == -(-n // 4)
+                assert pipe.source_channel.pushed == n
+                accepts_emits = [(cin.popped, cout.pushed)
+                                 for _, cin, cout in pipe.wiring]
+                assert accepts_emits == [(n, n), (n, n), (n, len(beats))], (variant, w, h)
+                for ch in pipe.channels:
+                    assert len(ch) == 0 and ch.pushed == ch.popped
+
+    def test_tick_patched_on_an_instance(self):
+        # perfbench/tracing.py wraps tick on each element instance after
+        # build_pipeline and later deletes the instance attribute
+        pipe = build_pipeline(edge_chain("hdl", SobelConfig(5, 4)))
+        core = pipe.elements[1]
+        class_tick = core.tick
+        calls = []
+
+        def patched_tick(pin, pout):
+            head = pin.head
+            assert head is None or (isinstance(head, tuple) and len(head) == 2)
+            assert type(pout.free) is bool
+            calls.append(1)
+            class_tick(pin, pout)
+
+        core.tick = patched_tick
+        frame = rgb_frame(random_rgb(random.Random(3), 5, 4))
+        expected, base = run_frame(pipe, frame)
+        for stalls in (StallModel(0.0), StallModel(0.5, seed=2)):
+            calls.clear()
+            beats, stats = run_frame(pipe, frame, stalls)
+            assert len(calls) == stats.total_cycles + 1
+            assert beats == expected
+        del core.tick
+        calls.clear()
+        beats, stats = run_frame(pipe, frame)
+        assert calls == [] and core.tick == class_tick
+        assert (beats, stats) == (expected, base)
 
     def test_pipeline_object_is_reusable(self):
         pipe = build_pipeline([RegisterStage()])
