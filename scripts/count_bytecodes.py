@@ -6,9 +6,12 @@ through the full chain (RGB frame: grayscale -> core -> word packer) and
 once through the core alone (gray frame), and counts every bytecode
 executed inside run_frame with sys.settrace and f_trace_opcodes.  The
 count is divided by the run's cycles, total_cycles + 1.  Frame building
-and pipeline construction are outside the count.  The figure repeats
-exactly for a given Python version, so it compares two versions of the
-program without the noise of host timings.
+and pipeline construction are outside the count.  A second, untraced run
+of each row counts the cyclic garbage collections it triggers (after a
+gc.collect(), through gc.callbacks); allocation churn shows there and not
+in the bytecodes.  Both figures repeat exactly for a given Python version
+and seed, so they compare two versions of the program without the noise
+of host timings.
 
 Example:
     python scripts/count_bytecodes.py                 # 32x32, seed 1
@@ -16,6 +19,7 @@ Example:
 """
 
 import argparse
+import gc
 import random
 import sys
 
@@ -54,6 +58,24 @@ def count_opcodes(pipeline, frame):
     return count, stats.total_cycles + 1
 
 
+def count_collections(pipeline, frame):
+    """Run one frame untraced, returning the GC collections it triggered."""
+    count = 0
+
+    def on_gc(phase, info):
+        nonlocal count
+        if phase == "start":
+            count += 1
+
+    gc.collect()
+    gc.callbacks.append(on_gc)
+    try:
+        run_frame(pipeline, frame)
+    finally:
+        gc.callbacks.remove(on_gc)
+    return count
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--width", type=int, default=32)
@@ -71,14 +93,15 @@ def main(argv=None):
 
     print(f"{width}x{height} frame, seed {args.seed}, "
           f"Python {sys.version.split()[0]}")
-    print(f"{'run':<16} {'bytecodes':>10} {'cycles':>8} {'per cycle':>10}")
+    print(f"{'run':<16} {'bytecodes':>10} {'cycles':>8} {'per cycle':>10} {'gc runs':>8}")
     for variant in ("hdl", "hls"):
         runs = (("full chain", build_pipeline(edge_chain(variant, config)), rgb),
                 ("core alone", build_pipeline([sobel_pe(variant, config)]), gray))
         for label, pipeline, frame in runs:
             count, cycles = count_opcodes(pipeline, frame)
+            collections = count_collections(pipeline, frame)
             print(f"{variant + ' ' + label:<16} {count:>10} {cycles:>8} "
-                  f"{count / cycles:>10.1f}")
+                  f"{count / cycles:>10.1f} {collections:>8}")
     return 0
 
 

@@ -27,16 +27,16 @@ final width + 1 border zeros after the frame ends.
 
 from __future__ import annotations
 
-import math
 import struct
 import sys
 from dataclasses import dataclass
 from itertools import repeat
+from math import isqrt
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .image_io import GrayImage, RgbImage, rgb_bytes
-from .stream import Beat, ProcessingElement, ProtocolError, new_beat
+from .image_io import GrayImage, RgbImage, gray_bytes, rgb_bytes
+from .stream import BYTE_BEATS, Beat, ProcessingElement, ProtocolError, new_beat
 
 
 class ConfigMismatchError(RuntimeError):
@@ -92,7 +92,7 @@ def _saturated(gh: int, gv: int, exact: bool) -> int:
     if exact:
         # sqrt(x) rounded half away from zero, in integers as hardware
         # does it: floor(sqrt(x) + 1/2) = (floor(sqrt(4x)) + 1) // 2
-        mag = (math.isqrt(4 * (gh * gh + gv * gv)) + 1) >> 1
+        mag = (isqrt(4 * (gh * gh + gv * gv)) + 1) >> 1
     else:
         mag = abs(gh) + abs(gv)
     return 255 if mag > 255 else mag
@@ -108,9 +108,8 @@ def sobel_kernel(window: tuple, exact: bool = False) -> int:
     p00, p01, p02, p10, _, p12, p20, p21, p22 = window
     gh = p02 - p00 + 2 * (p12 - p10) + p22 - p20
     gv = p20 - p00 + 2 * (p21 - p01) + p22 - p02
-    if exact:
-        return _saturated(gh, gv, True)
-    mag = abs(gh) + abs(gv)  # _saturated's approx form, inline on the hot path
+    # _saturated's two forms, inline on the hot path
+    mag = (isqrt(4 * (gh * gh + gv * gv)) + 1) >> 1 if exact else abs(gh) + abs(gv)
     return 255 if mag > 255 else mag
 
 
@@ -150,6 +149,7 @@ class SobelConfig:
 # ---- processing elements ------------------------------------------------
 
 ZERO_WINDOW = (0,) * 9
+_BEATS, _LAST_BEATS = BYTE_BEATS  # BYTE_BEATS[flag] would index by a bool, which is slower
 
 
 class Rgb2GrayPE(ProcessingElement):
@@ -298,7 +298,7 @@ class SobelHdlPE(_SobelCore):
                 value = sobel_kernel(win, self._exact)
                 if trace is not None:
                     trace.append(("convolve", now, out_pos // self._w, out_pos % self._w))
-            self._s3 = (out_pos, (value, out_pos == self._last))
+            self._s3 = (out_pos, _LAST_BEATS[value] if out_pos == self._last else _BEATS[value])
 
         # stage 2: shift the window, write the pixel over the oldest row
         s1 = self._s1
@@ -419,10 +419,10 @@ class SobelHlsPE(_SobelCore):
                 else:
                     value = 0
                 out_pos = idx - self._w - 1
-                token = (out_pos, (value, out_pos == self._last))
+                token = (out_pos, _LAST_BEATS[value] if out_pos == self._last else _BEATS[value])
         elif self._drain_pos < self._total:
             out_pos = self._drain_pos
-            token = (out_pos, (0, out_pos == self._last))
+            token = (out_pos, _LAST_BEATS[0] if out_pos == self._last else _BEATS[0])
             self._drain_pos = out_pos + 1
 
         chain[oldest] = token
@@ -471,8 +471,9 @@ def rgb_frame(image: RgbImage) -> list:
 
 
 def gray_frame(image: GrayImage) -> list:
-    """Flatten a GrayImage into 8-bit beats."""
-    return _frame(image.pixels)
+    """Flatten a GrayImage into 8-bit beats, shared from BYTE_BEATS; ValueError as gray_bytes."""
+    pixels = gray_bytes(image)
+    return [*map(_BEATS.__getitem__, pixels[:-1]), _LAST_BEATS[pixels[-1]]]
 
 
 def unpack_words(beats, byte_count: int) -> list:

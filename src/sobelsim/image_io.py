@@ -59,14 +59,22 @@ def rgb_bytes(image: RgbImage) -> bytes:
     """The r, g, b channel bytes of an RgbImage, in raster order.
 
     Raises ValueError for a pixel that is not an (r, g, b) triple or a
-    channel value outside 0..255.
+    channel value that is not an integer within 0..255.
     """
     if set(map(len, image.pixels)) != {3}:
         raise ValueError("every RGB pixel must be an (r, g, b) triple")
     try:
         return bytes(chain.from_iterable(image.pixels))
-    except ValueError:
-        raise ValueError("RGB channel values must be within 0..255") from None
+    except (TypeError, ValueError):
+        raise ValueError("RGB channel values must be integers within 0..255") from None
+
+
+def gray_bytes(image: GrayImage) -> bytes:
+    """The intensities of a GrayImage; ValueError unless each is an integer within 0..255."""
+    try:
+        return bytes(image.pixels)
+    except (TypeError, ValueError):
+        raise ValueError("gray intensities must be integers within 0..255") from None
 
 
 def row_stride(width: int) -> int:
@@ -158,10 +166,8 @@ _GRAY_TRIPLES = tuple((v, v, v) for v in range(256))
 
 
 def gray_to_rgb(image: GrayImage) -> RgbImage:
-    """Replicate each intensity into an (v, v, v) triple."""
-    # bytes() raises ValueError for an intensity outside 0..255, which the
-    # table lookup would miss for a negative one
-    pixels = list(map(_GRAY_TRIPLES.__getitem__, bytes(image.pixels)))
+    """Replicate each intensity into an (v, v, v) triple; ValueError as gray_bytes."""
+    pixels = list(map(_GRAY_TRIPLES.__getitem__, gray_bytes(image)))
     return RgbImage(image.width, image.height, pixels)
 
 

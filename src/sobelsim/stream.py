@@ -22,9 +22,9 @@ PAYLOAD_WIDTHS = (8, 24, 32)
 class Beat(NamedTuple):
     """One transfer on a stream: a payload word plus an end-of-frame flag.
 
-    Elements hand each other plain (data, last) tuples, which skips the
-    NamedTuple constructor on every hop; frames and the beats run_frame
-    returns are Beats.
+    Elements hand each other (data, last) pairs, plain tuples or the shared
+    8-bit Beats of BYTE_BEATS, so no hop runs the NamedTuple constructor;
+    frames and the beats run_frame returns are Beats.
     """
 
     data: int
@@ -34,6 +34,9 @@ class Beat(NamedTuple):
 # Beat(data, last) without the Python-level NamedTuple.__new__:
 # new_beat(Beat, (data, last))
 new_beat = tuple.__new__
+
+# BYTE_BEATS[last][data]: every 8-bit beat, built once and shared (beats are immutable)
+BYTE_BEATS = tuple(tuple(new_beat(Beat, (d, last)) for d in range(256)) for last in (False, True))
 
 
 class ProtocolError(RuntimeError):
@@ -221,16 +224,24 @@ def _validate_frame(frame, payload_width: int):
         raise ValueError("frame must contain at least one beat")
     final = len(frame) - 1
     early_last = False
+    bad = None  # the message for the first payload out of range or not an integer
     # one pass; a range error still wins over a misplaced last flag.  The
     # index, not the beat, tells the final beat: a frame may repeat a Beat
-    for i, (data, last) in enumerate(frame):
-        try:
-            if data >> payload_width:
-                raise ValueError(f"frame beat {data:#x} exceeds {payload_width}-bit payload")
-        except TypeError:
-            raise ValueError(f"frame beat {data!r} is not an integer") from None
-        if last and i != final:
-            early_last = True
+    try:
+        for i, (data, last) in enumerate(frame):
+            try:
+                if data >> payload_width:
+                    bad = f"frame beat {data:#x} exceeds {payload_width}-bit payload"
+                    break
+            except TypeError:
+                bad = f"frame beat {data!r} is not an integer"
+                break
+            if last and i != final:
+                early_last = True
+    except (TypeError, ValueError):  # frame[i] did not unpack into two
+        raise ValueError(f"frame beat {frame[i]!r} is not a (data, last) pair") from None
+    if bad is not None:
+        raise ValueError(bad)
     if early_last:
         raise ValueError("last flag set before the final beat")
     if not frame[-1][1]:
@@ -303,7 +314,9 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
             stall_cycles += 1
             stalled_at = cycle
         elif snk.head is not None:
-            beat = new_beat(Beat, snk.head)
+            beat = snk.head
+            if type(beat) is not Beat:  # a plain pair from an element
+                beat = new_beat(Beat, beat)
             del snk_q[0]
             snk.moves += 1
             receive(beat)

@@ -201,9 +201,14 @@ class TestRgb2Gray:
         # a channel of 256 used to alias into its neighbour: (0, 256, 0)
         # packed to the same word as (1, 0, 0)
         assert rgb_frame(RgbImage(1, 1, [(1, 0, 0)])) == [Beat(65536, True)]
-        for pixel in ((0, 256, 0), (0, 0, -1), (1, 2)):
+        for pixel in ((0, 256, 0), (0, 0, -1), (1, 2), (1.5, 0, 0), (0, "1", 0)):
             with pytest.raises(ValueError):
                 rgb_frame(RgbImage(1, 1, [pixel]))
+
+    @pytest.mark.parametrize("value", [256, -1, 1.5, "1"])
+    def test_gray_frame_rejects_a_value_that_is_not_a_byte(self, value):
+        with pytest.raises(ValueError, match="integers within 0..255"):
+            gray_frame(GrayImage(3, 3, [0] * 8 + [value]))
 
     def test_single_register_stage_latency(self):
         img = RgbImage(8, 1, [(9, 9, 9)] * 8)

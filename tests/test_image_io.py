@@ -228,10 +228,17 @@ class TestRasterTypes:
         rgb = gray_to_rgb(GrayImage(2, 1, [0, 200]))
         assert rgb.pixels == [(0, 0, 0), (200, 200, 200)]
 
+    @pytest.mark.parametrize("value", [256, -1, 1.5, "1"])
+    def test_gray_to_rgb_rejects_a_value_that_is_not_a_byte(self, value):
+        with pytest.raises(ValueError, match="integers within 0..255"):
+            gray_to_rgb(GrayImage(2, 1, [0, value]))
+
     @pytest.mark.parametrize("pixels", [
         [(1, 2), (3, 4, 5, 6)],  # six bytes in all, but no pixel is a triple
         [(1, 2, 3), (4, 5, 256)],
         [(-1, 2, 3), (4, 5, 6)],
+        [(1.5, 2, 3), (4, 5, 6)],
+        [(1, 2, 3), (4, "5", 6)],
     ])
     def test_every_flatten_rejects_a_malformed_pixel(self, pixels):
         bad = RgbImage(2, 1, pixels)

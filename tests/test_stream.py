@@ -8,16 +8,18 @@ scheduler cycles in which the sink accepted a beat.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_rgb
+from helpers import random_gray, random_rgb
 from sobelsim import (
     Beat,
     Channel,
     DeadlockError,
+    GrayImage,
     ProcessingElement,
     ProtocolError,
     SobelConfig,
@@ -25,8 +27,12 @@ from sobelsim import (
     WidthMismatchError,
     build_pipeline,
     edge_chain,
+    gray_frame,
+    rgb2gray_frame_reference,
     rgb_frame,
     run_frame,
+    sobel_frame_reference,
+    sobel_pe,
 )
 
 
@@ -229,6 +235,47 @@ class TestRunFrame:
         pipe = build_pipeline([PassThrough()])
         with pytest.raises(ValueError, match="is not an integer"):
             run_frame(pipe, [Beat(1), Beat(data, True)])
+
+    @pytest.mark.parametrize("beat", [5, None, (1, True, 0), (1,)])
+    def test_beat_that_is_not_a_pair_rejected(self, beat):
+        pipe = build_pipeline([PassThrough()])
+        message = rf"frame beat {re.escape(repr(beat))} is not a \(data, last\) pair"
+        with pytest.raises(ValueError, match=message):
+            run_frame(pipe, [Beat(1), beat, Beat(2, True)])
+        # beats are checked in frame order: an earlier bad payload wins,
+        # and a malformed beat wins over a misplaced last flag
+        with pytest.raises(ValueError, match="exceeds 8-bit payload"):
+            run_frame(pipe, [Beat(300), beat, Beat(2, True)])
+        with pytest.raises(ValueError, match=message):
+            run_frame(pipe, [Beat(1, True), beat, Beat(300, True)])
+
+    def test_returned_beats_are_beats_with_plain_fields(self):
+        # the benchmark and the README read b.data; == alone would pass a plain tuple
+        def check(beats, data, last):
+            assert [type(b) for b in beats] == [Beat] * len(data)
+            assert [(type(b.data), type(b.last)) for b in beats] == [(int, type(last))] * len(data)
+            assert [tuple(b) for b in beats] == [(d, last if i == len(data) - 1 else False)
+                                                 for i, d in enumerate(data)]
+
+        rgb = random_rgb(random.Random(8), 6, 5)
+        gray = rgb2gray_frame_reference(rgb)
+        edges = sobel_frame_reference(gray, "exact").pixels
+        core = sobel_pe("hls", SobelConfig(6, 5, magnitude_mode="exact"))
+        check(run_frame(build_pipeline([core]), gray_frame(gray))[0], edges, True)
+        words = [int.from_bytes(bytes(edges[k:k + 4]), "little") for k in range(0, 30, 4)]
+        chain = build_pipeline(edge_chain("hdl", SobelConfig(6, 5, magnitude_mode="exact")))
+        check(run_frame(chain, rgb_frame(rgb))[0], words, True)
+        pipe = build_pipeline([PassThrough()])
+        check(run_frame(pipe, [(3, False), (4, True)])[0], [3, 4], True)
+        # a frame's Beat comes back as it went in, last=1 and not True
+        check(run_frame(pipe, [Beat(5, 1)])[0], [5], 1)
+
+    def test_gray_frame_beats(self):
+        image = random_gray(random.Random(9), 4, 3)
+        beats = gray_frame(image)
+        final = len(image.pixels) - 1
+        assert beats == [Beat(v, i == final) for i, v in enumerate(image.pixels)]
+        assert {(type(b), type(b.data), type(b.last)) for b in beats} == {(Beat, int, bool)}
 
     def test_determinism_under_random_stalls(self):
         pipe = build_pipeline([RegisterStage()])
