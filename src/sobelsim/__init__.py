@@ -12,6 +12,7 @@ from .blocks import (
     edge_chain,
     gray_frame,
     magnitude,
+    rgb_bytes_frame,
     rgb_frame,
     sobel_kernel,
     sobel_pe,
@@ -24,6 +25,8 @@ from .image_io import (
     RgbImage,
     TruncatedError,
     UnsupportedFormatError,
+    decode_bmp,
+    encode_bmp,
     gray_to_rgb,
     hamming_distance,
     read_bmp,

@@ -36,7 +36,7 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .image_io import GrayImage, RgbImage, gray_bytes, rgb_bytes
-from .stream import BYTE_BEATS, Beat, ProcessingElement, ProtocolError, new_beat
+from .stream import BYTE_BEATS, ProcessingElement, ProtocolError
 
 
 class ConfigMismatchError(RuntimeError):
@@ -454,20 +454,24 @@ def edge_chain(variant: str, config: SobelConfig, pipeline_depth: int = 6) -> li
 _R, _G, _B = (2, 1, 0) if sys.byteorder == "little" else (1, 2, 3)
 
 
-def _frame(words) -> list:
-    """Beats of the payload words, the last one flagged, with no Python-level loop."""
-    beats = list(map(new_beat, repeat(Beat), zip(words, repeat(False))))
-    beats[-1] = new_beat(Beat, (beats[-1][0], True))
-    return beats
+def rgb_bytes_frame(rgb) -> list:
+    """24-bit (word, last) pairs, (r << 16) | (g << 8) | b, of r, g, b bytes in raster order.
+
+    Raises ValueError unless rgb holds a whole, non-zero number of triples.
+    """
+    count, rest = divmod(len(rgb), 3)
+    if not count or rest:
+        raise ValueError(f"RGB bytes must hold whole (r, g, b) triples, got {len(rgb)} bytes")
+    words = bytearray(4 * count)
+    words[_R::4], words[_G::4], words[_B::4] = rgb[0::3], rgb[1::3], rgb[2::3]
+    frame = list(zip(memoryview(words).cast("I"), repeat(False)))
+    frame[-1] = (frame[-1][0], True)
+    return frame
 
 
 def rgb_frame(image: RgbImage) -> list:
-    """Flatten an RgbImage into 24-bit beats, (r << 16) | (g << 8) | b."""
-    rgb = rgb_bytes(image)
-    count = len(image.pixels)
-    words = bytearray(4 * count)
-    words[_R::4], words[_G::4], words[_B::4] = rgb[0::3], rgb[1::3], rgb[2::3]
-    return _frame(memoryview(words).cast("I"))
+    """rgb_bytes_frame of an RgbImage's channel bytes; ValueError as rgb_bytes."""
+    return rgb_bytes_frame(rgb_bytes(image))
 
 
 def gray_frame(image: GrayImage) -> list:
@@ -478,8 +482,13 @@ def gray_frame(image: GrayImage) -> list:
 
 def unpack_words(beats, byte_count: int) -> list:
     """Unpack 32-bit word beats back into their first byte_count bytes."""
+    data = []
     try:
-        out = struct.pack(f"<{len(beats)}I", *map(itemgetter(0), beats))
+        data.extend(map(itemgetter(0), beats))
+    except (TypeError, LookupError):  # extend kept the data of every beat before the bad one
+        raise ValueError(f"word beat {beats[len(data)]!r} is not a (data, last) pair") from None
+    try:
+        out = struct.pack(f"<{len(data)}I", *data)
     except struct.error:
         raise ValueError("word beats must hold 32-bit unsigned data") from None
     if byte_count > len(out):

@@ -20,8 +20,10 @@ import os
 import random
 import sys
 
-from .blocks import SobelConfig, edge_chain, rgb_frame, unpack_words
-from .image_io import GrayImage, RgbImage, gray_to_rgb, read_bmp, write_bmp
+from .blocks import SobelConfig, edge_chain, rgb_bytes_frame, rgb_frame, unpack_words
+from .image_io import GrayImage, RgbImage, decode_bmp, encode_bmp, gray_bytes, gray_to_rgb
+# not called here, but perfbench/tracing.py wraps both under these names
+from .image_io import read_bmp, write_bmp
 from .metrics import build_report, estimate_resources, serialize_report, serialize_run
 from .stream import DeadlockError, StallModel, build_pipeline, run_frame
 
@@ -91,8 +93,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_frame(path: str):
     """Read a BMP and flatten it into beats; returns (frame, width, height)."""
     with open(path, "rb") as fh:
-        image = read_bmp(fh.read())
-    return rgb_frame(image), image.width, image.height
+        width, height, rgb = decode_bmp(fh.read())
+    return rgb_bytes_frame(rgb), width, height
+
+
+def _write_edges(path: str, gray: GrayImage):
+    """Write a gray output as a 24-bpp BMP, each intensity in all three channels."""
+    rgb = bytearray(3 * len(gray.pixels))
+    rgb[0::3] = rgb[1::3] = rgb[2::3] = gray_bytes(gray)
+    with open(path, "wb") as fh:
+        fh.write(encode_bmp(gray.width, gray.height, rgb))
 
 
 def _edge_pipeline(variant, width, height, args):
@@ -113,8 +123,7 @@ def _run_variant(variant, frame, width, height, args):
 def cmd_process(args) -> int:
     frame, width, height = _load_frame(args.input)
     gray, stats = _run_variant(args.arch, frame, width, height, args)
-    with open(args.output, "wb") as fh:
-        fh.write(write_bmp(gray_to_rgb(gray)))
+    _write_edges(args.output, gray)
     if args.report:
         resources = estimate_resources(args.arch, width, args.hls_depth)
         with open(args.report, "wb") as fh:
@@ -129,15 +138,14 @@ def cmd_compare(args) -> int:
     frame, width, height = _load_frame(args.input)
     hdl_gray, hdl_stats = _run_variant("hdl", frame, width, height, args)
     hls_gray, hls_stats = _run_variant("hls", frame, width, height, args)
-    del frame  # the report holds both RGB outputs; do not hold the input too
-    hdl_rgb, hls_rgb = gray_to_rgb(hdl_gray), gray_to_rgb(hls_gray)
+    del frame  # the report builds both RGB outputs; do not hold the input too
     report = build_report(
         hdl_stats,
         hls_stats,
         estimate_resources("hdl", width),
         estimate_resources("hls", width, args.hls_depth),
-        hdl_rgb,
-        hls_rgb,
+        gray_to_rgb(hdl_gray),
+        gray_to_rgb(hls_gray),
         magnitude_mode=args.magnitude,
         stall_prob=args.stall_prob,
         seed=args.seed,
@@ -145,9 +153,8 @@ def cmd_compare(args) -> int:
     with open(args.report, "wb") as fh:
         fh.write(serialize_report(report, args.format))
     base, ext = os.path.splitext(args.output)
-    for tag, rgb in (("hdl", hdl_rgb), ("hls", hls_rgb)):
-        with open(f"{base}_{tag}{ext or '.bmp'}", "wb") as fh:
-            fh.write(write_bmp(rgb))
+    for tag, gray in (("hdl", hdl_gray), ("hls", hls_gray)):
+        _write_edges(f"{base}_{tag}{ext or '.bmp'}", gray)
     print(f"hamming_bits={report.hamming_bits} "
           f"cycle_ratio={report.cycle_ratio:.4f}", file=sys.stderr)
     return 0 if report.hamming_bits == 0 else 3

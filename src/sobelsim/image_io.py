@@ -61,7 +61,11 @@ def rgb_bytes(image: RgbImage) -> bytes:
     Raises ValueError for a pixel that is not an (r, g, b) triple or a
     channel value that is not an integer within 0..255.
     """
-    if set(map(len, image.pixels)) != {3}:
+    try:
+        lengths = set(map(len, image.pixels))
+    except TypeError:  # a pixel with no length, such as 5 or None
+        lengths = None
+    if lengths != {3}:
         raise ValueError("every RGB pixel must be an (r, g, b) triple")
     try:
         return bytes(chain.from_iterable(image.pixels))
@@ -82,12 +86,12 @@ def row_stride(width: int) -> int:
     return (3 * width + 3) & ~3
 
 
-def read_bmp(data: bytes) -> RgbImage:
-    """Decode a 24-bpp uncompressed BMP into an RgbImage.
+def decode_bmp(data: bytes) -> tuple:
+    """Decode a 24-bpp uncompressed BMP into (width, height, rgb).
 
-    Raises BadMagicError, UnsupportedFormatError or TruncatedError.  A
-    negative header height (top-down row order) is accepted and normalised;
-    the returned raster is always top-to-bottom.
+    rgb holds each pixel's r, g, b bytes in top-to-bottom raster order, also
+    for a negative header height (rows stored top-down).  Raises
+    BadMagicError, UnsupportedFormatError or TruncatedError.
     """
     if len(data) < 2:
         raise BadMagicError("file too short to hold a BMP magic")
@@ -127,39 +131,43 @@ def read_bmp(data: bytes) -> RgbImage:
     # positive height means the file stores the bottom row first
     order = reversed(range(rows)) if height > 0 else range(rows)
     starts = (pixel_offset + y * stride for y in order)
-    bgr = b"".join(data[base : base + 3 * width] for base in starts)
-    return RgbImage(width, rows, list(zip(bgr[2::3], bgr[1::3], bgr[0::3])))
+    rgb = bytearray(b"".join(data[base : base + 3 * width] for base in starts))
+    rgb[0::3], rgb[2::3] = rgb[2::3], rgb[0::3]  # BMP stores b, g, r
+    return width, rows, bytes(rgb)
+
+
+def read_bmp(data: bytes) -> RgbImage:
+    """decode_bmp's raster as an RgbImage of (r, g, b) triples."""
+    width, height, rgb = decode_bmp(data)
+    return RgbImage(width, height, list(zip(rgb[0::3], rgb[1::3], rgb[2::3])))
+
+
+def encode_bmp(width: int, height: int, rgb) -> bytes:
+    """Encode r, g, b bytes in top-to-bottom raster order as a bottom-up 24-bpp BMP.
+
+    ValueError unless both dimensions are positive and rgb holds 3 * width * height bytes.
+    """
+    if width < 1 or height < 1:
+        raise ValueError("image dimensions must be positive")
+    row_bytes = 3 * width
+    if len(rgb) != row_bytes * height:
+        raise ValueError(f"expected {row_bytes * height} RGB bytes, got {len(rgb)}")
+    stride = row_stride(width)
+    image_size = stride * height
+    # file header, then BITMAPINFOHEADER; 2835 px/m (72 DPI) is the conventional filler
+    header = struct.pack("<2sIHHIIiiHHIIiiII", b"BM", HEADER_SIZE + image_size, 0, 0, HEADER_SIZE,
+                         40, width, height, 1, 24, 0, image_size, 2835, 2835, 0, 0)
+    pad = bytes(stride - row_bytes)
+    bgr = bytearray(rgb)
+    bgr[0::3], bgr[2::3] = bgr[2::3], bgr[0::3]
+    rows = memoryview(bgr)
+    bottom_up = (rows[y * row_bytes : (y + 1) * row_bytes] for y in reversed(range(height)))
+    return b"".join((header, pad.join(bottom_up), pad))
 
 
 def write_bmp(image: RgbImage) -> bytes:
-    """Encode an RgbImage, flattened by rgb_bytes, as a bottom-up 24-bpp BMP."""
-    stride = row_stride(image.width)
-    image_size = stride * image.height
-    header = struct.pack(
-        "<2sIHHI", b"BM", HEADER_SIZE + image_size, 0, 0, HEADER_SIZE
-    ) + struct.pack(
-        "<IiiHHIIiiII",
-        40,
-        image.width,
-        image.height,
-        1,
-        24,
-        0,
-        image_size,
-        2835,  # 72 DPI, the conventional filler
-        2835,
-        0,
-        0,
-    )
-    pad = bytes(stride - 3 * image.width)
-    bgr = bytearray(rgb_bytes(image))
-    bgr[0::3], bgr[2::3] = bgr[2::3], bgr[0::3]
-    row_bytes = 3 * image.width
-    out = bytearray(header)
-    for y in reversed(range(image.height)):
-        out += bgr[y * row_bytes : (y + 1) * row_bytes]
-        out += pad
-    return bytes(out)
+    """Encode an RgbImage, flattened by rgb_bytes, with encode_bmp."""
+    return encode_bmp(image.width, image.height, rgb_bytes(image))
 
 
 _GRAY_TRIPLES = tuple((v, v, v) for v in range(256))

@@ -23,8 +23,8 @@ class Beat(NamedTuple):
     """One transfer on a stream: a payload word plus an end-of-frame flag.
 
     Elements hand each other (data, last) pairs, plain tuples or the shared
-    8-bit Beats of BYTE_BEATS, so no hop runs the NamedTuple constructor;
-    frames and the beats run_frame returns are Beats.
+    8-bit Beats of BYTE_BEATS, so no hop runs the NamedTuple constructor.
+    A frame may hold either; the beats run_frame returns are Beats.
     """
 
     data: int

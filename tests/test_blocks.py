@@ -7,6 +7,7 @@ Latency facts are pinned through the cores' event traces.
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,8 @@ from sobelsim import (
     gray_frame,
     magnitude,
     rgb2gray_frame_reference,
+    rgb_bytes,
+    rgb_bytes_frame,
     rgb_frame,
     run_frame,
     sobel_frame_reference,
@@ -205,6 +208,20 @@ class TestRgb2Gray:
             with pytest.raises(ValueError):
                 rgb_frame(RgbImage(1, 1, [pixel]))
 
+    def test_rgb_bytes_frame_holds_plain_pairs(self):
+        img = random_rgb(random.Random(4), 5, 3)
+        frame = rgb_bytes_frame(rgb_bytes(img))
+        assert frame == rgb_frame(img)
+        assert frame == [((r << 16) | (g << 8) | b, i == 14) for i, (r, g, b) in enumerate(img.pixels)]
+        # exact tuples, which an element unpacks faster than a Beat
+        assert {(type(f), type(f[0]), type(f[1])) for f in frame} == {(tuple, int, bool)}
+        assert rgb_bytes_frame(bytearray(b"\x01\x02\x03")) == [(0x010203, True)]
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 4, 5, 7])
+    def test_rgb_bytes_frame_rejects_partial_triples(self, size):
+        with pytest.raises(ValueError, match=f"whole \\(r, g, b\\) triples, got {size} bytes"):
+            rgb_bytes_frame(bytes(size))
+
     @pytest.mark.parametrize("value", [256, -1, 1.5, "1"])
     def test_gray_frame_rejects_a_value_that_is_not_a_byte(self, value):
         with pytest.raises(ValueError, match="integers within 0..255"):
@@ -248,6 +265,15 @@ class TestU8ToU32:
             unpack_words([Beat(1, True)], 9)
         with pytest.raises(ValueError):
             unpack_words([Beat(1 << 32, True)], 4)
+
+    @pytest.mark.parametrize("beat", [5, None, (), 1.5])
+    def test_unpack_rejects_a_beat_that_is_not_a_pair(self, beat):
+        message = rf"word beat {re.escape(repr(beat))} is not a \(data, last\) pair"
+        with pytest.raises(ValueError, match=message):
+            unpack_words([beat], 1)
+        # the first such beat is named, after good ones
+        with pytest.raises(ValueError, match=message):
+            unpack_words([Beat(1), (2, False), beat, 7], 12)
 
 
 class TestSobelCores:

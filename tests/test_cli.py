@@ -1,8 +1,12 @@
 """End-to-end command-line tests; commands run in-process via main()."""
 
+import importlib.util
 import json
+import random
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,7 @@ from sobelsim import (
     gray_to_rgb,
     read_bmp,
     rgb2gray_frame_reference,
+    row_stride,
     sobel_frame_reference,
     write_bmp,
 )
@@ -147,6 +152,36 @@ class TestCompare:
         assert (tmp_path / "a.b" / "edges_hls.bmp").exists()
 
 
+def stored_top_down(data, width, height):
+    """The same raster as a BMP with a negative height, its top row stored first."""
+    stride = row_stride(width)
+    rows = [data[54 + y * stride : 54 + (y + 1) * stride] for y in range(height)]
+    return data[:22] + struct.pack("<i", -height) + data[26:54] + b"".join(reversed(rows))
+
+
+class TestEdgeFiles:
+    @pytest.mark.parametrize("top_down", [False, True])
+    @pytest.mark.parametrize("width", [3, 4, 5, 6])  # every row-padding class
+    def test_edge_bmps_encode_the_oracle_output(self, tmp_path, width, top_down):
+        rng = random.Random(width)
+        image = RgbImage(width, 4, [(rng.randrange(256), rng.randrange(256), rng.randrange(256))
+                                    for _ in range(width * 4)])
+        data = write_bmp(image)
+        if top_down:
+            data = stored_top_down(data, width, 4)
+        assert read_bmp(data) == image
+        src = tmp_path / "in.bmp"
+        src.write_bytes(data)
+        want = write_bmp(gray_to_rgb(sobel_frame_reference(rgb2gray_frame_reference(image))))
+        for arch in ("hdl", "hls"):
+            assert main(["process", "--arch", arch, "--input", str(src),
+                         "--output", str(tmp_path / f"p_{arch}.bmp")]) == 0
+        assert main(["compare", "--input", str(src), "--output", str(tmp_path / "c.bmp"),
+                     "--report", str(tmp_path / "r.json")]) == 0
+        for name in ("p_hdl.bmp", "p_hls.bmp", "c_hdl.bmp", "c_hls.bmp"):
+            assert (tmp_path / name).read_bytes() == want, name
+
+
 class TestBench:
     def test_sweep_layout_and_invariants(self, tmp_path):
         report = tmp_path / "bench.csv"
@@ -253,6 +288,19 @@ def test_importing_the_main_module_runs_nothing():
         capture_output=True, text=True,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps these names where the program looks them
+    # up; a name dropped from a module would fail only the benchmark
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.MODULE_SPANS) > 10
+    for module, attr, _ in tracing.MODULE_SPANS:
+        assert callable(getattr(importlib.import_module(f"sobelsim.{module}"), attr, None)), \
+            (module, attr)
 
 
 @pytest.mark.slow

@@ -21,6 +21,8 @@ from sobelsim import (
     RgbImage,
     TruncatedError,
     UnsupportedFormatError,
+    decode_bmp,
+    encode_bmp,
     gray_to_rgb,
     hamming_distance,
     read_bmp,
@@ -158,6 +160,18 @@ class TestEncode:
         assert decoded.width == img.width
         assert decoded.height == img.height
         assert decoded.pixels == img.pixels
+        assert decode_bmp(encode_bmp(img.width, img.height, rgb_bytes(img))) == (
+            img.width, img.height, rgb_bytes(img))
+
+    @pytest.mark.parametrize("size", [0, 17, 19, 36])
+    def test_encode_rejects_rgb_of_the_wrong_length(self, size):
+        with pytest.raises(ValueError, match=f"expected 18 RGB bytes, got {size}"):
+            encode_bmp(3, 2, bytes(size))
+
+    @pytest.mark.parametrize("width,height", [(0, 1), (1, 0), (-1, 1)])
+    def test_encode_rejects_a_dimension_below_one(self, width, height):
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            encode_bmp(width, height, b"")
 
 
 class TestMutationFuzz:
@@ -216,6 +230,28 @@ class TestMutationFuzz:
             assert outcomes[key], (key, outcomes)
 
 
+    def test_decode_bmp_fails_as_read_bmp(self):
+        # the same 2000 mutants: both decoders raise the same class and
+        # message, or agree on the raster
+        rng = random.Random(20)
+        image = RgbImage(self.WIDTH, self.HEIGHT, [
+            (rng.randrange(256), rng.randrange(256), rng.randrange(256))
+            for _ in range(self.WIDTH * self.HEIGHT)
+        ])
+        failures = 0
+        for _, data in self.mutants(rng, write_bmp(image)):
+            try:
+                decoded = read_bmp(data)
+            except self.DECLARED as exc:
+                failures += 1
+                with pytest.raises(type(exc)) as raised:
+                    decode_bmp(data)
+                assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+                continue
+            assert decode_bmp(data) == (decoded.width, decoded.height, rgb_bytes(decoded))
+        assert failures > 100
+
+
 class TestRasterTypes:
     @pytest.mark.parametrize("w,h,n", [(0, 1, 0), (1, 0, 0), (2, 2, 3)])
     def test_geometry_validation(self, w, h, n):
@@ -239,6 +275,8 @@ class TestRasterTypes:
         [(-1, 2, 3), (4, 5, 6)],
         [(1.5, 2, 3), (4, 5, 6)],
         [(1, 2, 3), (4, "5", 6)],
+        [5, (1, 2, 3)],  # a pixel with no length
+        [(1, 2, 3), None],
     ])
     def test_every_flatten_rejects_a_malformed_pixel(self, pixels):
         bad = RgbImage(2, 1, pixels)
@@ -246,6 +284,12 @@ class TestRasterTypes:
         for flatten in (rgb_bytes, rgb_frame, write_bmp, lambda img: hamming_distance(img, good)):
             with pytest.raises(ValueError):
                 flatten(bad)
+
+
+    @pytest.mark.parametrize("pixel", [5, None])
+    def test_a_pixel_with_no_length_is_not_a_triple(self, pixel):
+        with pytest.raises(ValueError, match=r"every RGB pixel must be an \(r, g, b\) triple"):
+            rgb_bytes(RgbImage(2, 1, [(1, 2, 3), pixel]))
 
 
 class TestHamming:
