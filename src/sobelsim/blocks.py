@@ -28,7 +28,7 @@ final width + 1 border zeros after the frame ends.
 from __future__ import annotations
 
 import struct
-import sys
+from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from math import isqrt
@@ -88,16 +88,6 @@ class LineBuffer:
         self._write_at = -1
 
 
-def _saturated(gh: int, gv: int, exact: bool) -> int:
-    if exact:
-        # sqrt(x) rounded half away from zero, in integers as hardware
-        # does it: floor(sqrt(x) + 1/2) = (floor(sqrt(4x)) + 1) // 2
-        mag = (isqrt(4 * (gh * gh + gv * gv)) + 1) >> 1
-    else:
-        mag = abs(gh) + abs(gv)
-    return 255 if mag > 255 else mag
-
-
 def sobel_kernel(window: tuple, exact: bool = False) -> int:
     """8-bit Sobel magnitude of a 3x3 window held as a 9-tuple in image layout.
 
@@ -108,7 +98,7 @@ def sobel_kernel(window: tuple, exact: bool = False) -> int:
     p00, p01, p02, p10, _, p12, p20, p21, p22 = window
     gh = p02 - p00 + 2 * (p12 - p10) + p22 - p20
     gv = p20 - p00 + 2 * (p21 - p01) + p22 - p02
-    # _saturated's two forms, inline on the hot path
+    # magnitude()'s two forms, inline on the hot path
     mag = (isqrt(4 * (gh * gh + gv * gv)) + 1) >> 1 if exact else abs(gh) + abs(gv)
     return 255 if mag > 255 else mag
 
@@ -119,9 +109,16 @@ def magnitude(g: GradientPair, mode: str = "approx") -> int:
     "approx" is |gh| + |gv|; "exact" is the Euclidean magnitude rounded
     half away from zero.  Both clamp at 255.
     """
-    if mode not in ("approx", "exact"):
+    gh, gv = g.gh, g.gv
+    if mode == "exact":
+        # sqrt(x) rounded half away from zero, in integers as hardware
+        # does it: floor(sqrt(x) + 1/2) = (floor(sqrt(4x)) + 1) // 2
+        mag = (isqrt(4 * (gh * gh + gv * gv)) + 1) >> 1
+    elif mode == "approx":
+        mag = abs(gh) + abs(gv)
+    else:
         raise ValueError(f"unknown magnitude mode {mode!r}")
-    return _saturated(g.gh, g.gv, mode == "exact")
+    return 255 if mag > 255 else mag
 
 
 # ---- configuration -----------------------------------------------------
@@ -218,6 +215,10 @@ class _SobelCore(ProcessingElement):
 
     A subclass sets row_rams, its number of row RAMs of one frame row each
     (metrics.estimate_resources counts them), and extends reset().
+
+    The raster index _in_idx counts the accepted pixels and then keeps
+    counting past the frame: indices total .. total + width are the drain,
+    one token each, for the border zeros at positions idx - width - 1.
     """
 
     def __init__(self, config: SobelConfig):
@@ -227,13 +228,12 @@ class _SobelCore(ProcessingElement):
         self._exact = config.magnitude_mode == "exact"
         self._total = config.width * config.height
         self._last = self._total - 1  # raster index of the last-flagged beat
-        self._drain_start = self._total - config.width - 1
+        self._end = self._total + config.width + 1  # one past the final drain index
         self._lb = tuple(LineBuffer(config.width) for _ in range(self.row_rams))
         super().__init__()
 
     def reset(self):
         self._in_idx = 0
-        self._drain_pos = self._drain_start
         self._tick = -1
         for lb in self._lb:
             lb.reset()
@@ -292,13 +292,12 @@ class SobelHdlPE(_SobelCore):
             self._s3 = None
         else:
             out_pos, win = s2
-            if win is None:
-                value = 0
+            if win is None:  # a border zero; only the final drained one is last
+                self._s3 = (out_pos, _LAST_BEATS[0] if out_pos == self._last else _BEATS[0])
             else:
-                value = sobel_kernel(win, self._exact)
+                self._s3 = (out_pos, _BEATS[sobel_kernel(win, self._exact)])
                 if trace is not None:
                     trace.append(("convolve", now, out_pos // self._w, out_pos % self._w))
-            self._s3 = (out_pos, _LAST_BEATS[value] if out_pos == self._last else _BEATS[value])
 
         # stage 2: shift the window, write the pixel over the oldest row
         s1 = self._s1
@@ -332,9 +331,9 @@ class SobelHdlPE(_SobelCore):
                 self._in_idx = idx + 1
                 if trace is not None:
                     trace.append(("accept", now, idx))
-        elif self._drain_pos < self._total:
-            self._s1 = (self._drain_pos, None, 0, 0, 0, 0)
-            self._drain_pos += 1
+        elif idx < self._end:
+            self._s1 = (idx - self._w - 1, None, 0, 0, 0, 0)
+            self._in_idx = idx + 1
         else:
             self._s1 = None
 
@@ -349,7 +348,9 @@ class SobelHlsPE(_SobelCore):
     total) the window is convolved.  The finished value then travels a
     register chain of pipeline_depth (stage_count) stages to the output,
     standing in for whatever schedule a synthesis tool would have produced;
-    the depth never changes the emitted bytes.
+    the depth never changes the emitted bytes.  The chain is a deque of
+    stage_count - 1 (out_pos, beat) tokens: chain[0] emits, and appending
+    the next token pushes it out.
 
     Assign a list to `trace` to record ("accept", t, index),
     ("fill", t, pixels_accepted) once, ("convolve", t, row, col) and
@@ -367,20 +368,15 @@ class SobelHlsPE(_SobelCore):
 
     def reset(self):
         super().reset()
-        # register chain as a ring of (out_pos, beat) tokens; the slot at
-        # _oldest is the one emitting, and the new token overwrites it
-        self._chain = [None] * (self.stage_count - 1)
-        self._oldest = 0
-        self._filled = False
+        self._chain = deque(repeat(None, self.stage_count - 1), self.stage_count - 1)
 
     def tick(self, pin, pout):
         now = self._tick = self._tick + 1
         trace = self.trace
         chain = self._chain
-        oldest = self._oldest
 
         # emit the chain tail; a blocked emit freezes the whole loop
-        tail = chain[oldest]
+        tail = chain[0]
         if tail is not None and tail[0] >= 0:
             if not pout.free:
                 return
@@ -409,25 +405,20 @@ class SobelHlsPE(_SobelCore):
                 if trace is not None:
                     trace.append(("accept", now, idx))
                 if row >= 2 and col >= 2:
-                    if not self._filled:
-                        self._filled = True
-                        if trace is not None:
-                            trace.append(("fill", now, idx + 1))
                     value = sobel_kernel(win, self._exact)
                     if trace is not None:
+                        if idx == 2 * self._w + 2:  # the first full window
+                            trace.append(("fill", now, idx + 1))
                         trace.append(("convolve", now, row - 1, col - 1))
                 else:
                     value = 0
-                out_pos = idx - self._w - 1
-                token = (out_pos, _LAST_BEATS[value] if out_pos == self._last else _BEATS[value])
-        elif self._drain_pos < self._total:
-            out_pos = self._drain_pos
+                token = (idx - self._w - 1, _BEATS[value])
+        elif idx < self._end:
+            out_pos = idx - self._w - 1
             token = (out_pos, _LAST_BEATS[0] if out_pos == self._last else _BEATS[0])
-            self._drain_pos = out_pos + 1
+            self._in_idx = idx + 1
 
-        chain[oldest] = token
-        oldest += 1
-        self._oldest = 0 if oldest == len(chain) else oldest
+        chain.append(token)
 
 
 # ---- factories ----------------------------------------------------------
@@ -450,10 +441,6 @@ def edge_chain(variant: str, config: SobelConfig, pipeline_depth: int = 6) -> li
 # ---- frame packing helpers ----------------------------------------------
 
 
-# byte offsets of r, g and b inside a native-order 32-bit word
-_R, _G, _B = (2, 1, 0) if sys.byteorder == "little" else (1, 2, 3)
-
-
 def rgb_bytes_frame(rgb) -> list:
     """24-bit (word, last) pairs, (r << 16) | (g << 8) | b, of r, g, b bytes in raster order.
 
@@ -462,9 +449,9 @@ def rgb_bytes_frame(rgb) -> list:
     count, rest = divmod(len(rgb), 3)
     if not count or rest:
         raise ValueError(f"RGB bytes must hold whole (r, g, b) triples, got {len(rgb)} bytes")
-    words = bytearray(4 * count)
-    words[_R::4], words[_G::4], words[_B::4] = rgb[0::3], rgb[1::3], rgb[2::3]
-    frame = list(zip(memoryview(words).cast("I"), repeat(False)))
+    words = bytearray(4 * count)  # little-endian words: b, g, r, 0
+    words[2::4], words[1::4], words[0::4] = rgb[0::3], rgb[1::3], rgb[2::3]
+    frame = list(zip(struct.unpack(f"<{count}I", words), repeat(False)))
     frame[-1] = (frame[-1][0], True)
     return frame
 

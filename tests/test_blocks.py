@@ -395,14 +395,27 @@ class TestSobelTiming:
         assert max(idx for _, _, idx in accepted_before) >= 2 * 8 + 2
 
     def test_hls_fill_condition_at_two_rows_plus_three(self):
+        # both follow from the raster index alone, whatever the geometry,
+        # depth or stalls: one fill at 2W + 3 pixels, and of either core's
+        # beats only the final one carries last
         rng = random.Random(8)
-        trace = []
-        run_sobel("hls", random_gray(rng, 8, 8), trace=trace)
-        fills = [e for e in trace if e[0] == "fill"]
-        assert len(fills) == 1
-        assert fills[0][2] == 2 * 8 + 3
-        first_conv = next(e for e in trace if e[0] == "convolve")
-        assert (first_conv[2], first_conv[3]) == (1, 1)
+        for w in range(3, 13):
+            for h in range(3, 8):
+                frame = gray_frame(random_gray(rng, w, h))
+                depth = 2 + (w + 3 * h) % 8
+                for p in (0.0, 0.3):
+                    for variant in VARIANTS:
+                        pe = sobel_pe(variant, SobelConfig(w, h), depth)
+                        pe.trace = []
+                        beats, _ = run_frame(build_pipeline([pe]), frame,
+                                             StallModel(p, seed=100 * w + h))
+                        assert [b.last for b in beats] == [False] * (w * h - 1) + [True]
+                        if variant == "hdl":
+                            continue
+                        fills = [e for e in pe.trace if e[0] == "fill"]
+                        assert len(fills) == 1 and fills[0][2] == 2 * w + 3, (w, h, depth, p)
+                        first_conv = next(e for e in pe.trace if e[0] == "convolve")
+                        assert (first_conv[2], first_conv[3]) == (1, 1)
 
     def test_hls_depth_changes_latency_not_bytes(self):
         rng = random.Random(9)
