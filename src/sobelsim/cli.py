@@ -21,7 +21,7 @@ import random
 import sys
 
 from .blocks import SobelConfig, edge_chain, rgb_bytes_frame, rgb_frame, unpack_words
-from .image_io import GrayImage, RgbImage, decode_bmp, encode_bmp, gray_bytes, gray_to_rgb
+from .image_io import GrayImage, RgbImage, decode_bmp, encode_bmp, gray_to_rgb
 # not called here, but perfbench/tracing.py wraps both under these names
 from .image_io import read_bmp, write_bmp
 from .metrics import build_report, estimate_resources, serialize_report, serialize_run
@@ -90,19 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_frame(path: str):
-    """Read a BMP and flatten it into beats; returns (frame, width, height)."""
+def _read_input(path: str):
+    """Read a BMP file; returns (width, height, rgb bytes in raster order)."""
     with open(path, "rb") as fh:
-        width, height, rgb = decode_bmp(fh.read())
-    return rgb_bytes_frame(rgb), width, height
+        return decode_bmp(fh.read())
 
 
-def _write_edges(path: str, gray: GrayImage):
-    """Write a gray output as a 24-bpp BMP, each intensity in all three channels."""
-    rgb = bytearray(3 * len(gray.pixels))
-    rgb[0::3] = rgb[1::3] = rgb[2::3] = gray_bytes(gray)
+def _write_edges(path: str, width: int, height: int, gray: bytes):
+    """Write gray output bytes as a 24-bpp BMP, each intensity in all three channels."""
+    rgb = bytearray(3 * len(gray))
+    rgb[0::3] = rgb[1::3] = rgb[2::3] = gray
     with open(path, "wb") as fh:
-        fh.write(encode_bmp(gray.width, gray.height, rgb))
+        fh.write(encode_bmp(width, height, rgb))
 
 
 def _edge_pipeline(variant, width, height, args):
@@ -111,19 +110,129 @@ def _edge_pipeline(variant, width, height, args):
     return build_pipeline(edge_chain(variant, config, args.hls_depth))
 
 
-def _run_variant(variant, frame, width, height, args):
-    """Simulate one core over a frame; returns (gray output, stats)."""
-    pipeline = _edge_pipeline(variant, width, height, args)
-    stalls = StallModel(args.stall_prob, args.seed)
-    words, stats = run_frame(pipeline, frame, stalls)
-    pixels = unpack_words(words, width * height)
-    return GrayImage(width, height, pixels), stats
+def _run_core(pipeline, rgb, width, height, stalls):
+    """Simulate one edge pipeline over rgb bytes; returns (gray bytes, stats)."""
+    words, stats = run_frame(pipeline, rgb_bytes_frame(rgb), stalls)
+    return bytes(unpack_words(words, width * height)), stats
+
+
+class WorkerError(ChildProcessError):
+    """A forked simulation worker ended without sending its result."""
+
+
+def _use_workers(pipelines) -> bool:
+    """Whether each pipeline may run in a forked worker: this process may use
+    two or more CPUs and runs one thread, and no element has a tick patched
+    on the instance (a hook that counts ticks must see them in this process)."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    import threading
+
+    return (cpus >= 2 and threading.active_count() == 1
+            and not any("tick" in vars(pe) for p in pipelines for pe in p.elements))
+
+
+def _worker(write_fd, mask, pipeline, args):
+    """Body of a forked worker: pickle (ok, result or exception) into
+    write_fd, then end the process, running no caller's cleanup and
+    flushing no stdio; the exit status is 0 only once the outcome is sent."""
+    status = 1
+    try:
+        import pickle
+        import signal
+
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        try:
+            outcome = (True, _run_core(pipeline, *args))
+        except BaseException as exc:
+            outcome = (False, exc)
+        with open(write_fd, "wb") as fh:
+            fh.write(pickle.dumps(outcome))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_each(pipelines, args):
+    """Run _run_core(pipeline, *args) for each pipeline in its own forked
+    worker and reap them all; returns their (ok, result or exception), or
+    None if there is no room for another pipe or process (EMFILE, EAGAIN,
+    ENOMEM), once every worker that did start is killed and reaped."""
+    import pickle
+    import signal
+
+    pids, fds, payloads = [], [], None
+    try:
+        for pipeline in pipelines:
+            read_fd, write_fd = os.pipe()
+            fds.append(read_fd)
+            # a SIGINT before the worker's try would unwind into this frame;
+            # one that arrives during the fork is raised when the mask is
+            # restored, after the pid is recorded and the write end closed
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(write_fd, mask, pipeline, args)
+                pids.append(pid)
+            finally:
+                os.close(write_fd)  # so that a worker that dies gives EOF
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        payloads = []
+        for fd in fds:
+            with open(fd, "rb", closefd=False) as fh:
+                payloads.append(fh.read())
+    except OSError:
+        if payloads is not None:
+            raise
+    finally:
+        if payloads is None or len(payloads) < len(fds):
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        for fd in fds:
+            os.close(fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if payloads is None:
+        return None
+    return [pickle.loads(payload) if code == 0 else
+            (False, WorkerError(f"a simulation worker ended with exit status {code} "
+                                f"and no result"))
+            for payload, code in zip(payloads, codes)]
+
+
+def _unwrap(outcome):
+    ok, value = outcome
+    if not ok:
+        raise value
+    return value
+
+
+def _run_each(pipelines, *args):
+    """_run_core(pipeline, *args) for each pipeline, as an iterator over the
+    results in order that raises the first call's error when it reaches it.
+
+    Each call runs in its own forked worker where `_use_workers` allows
+    and `_fork_each` can start them, and otherwise in this process when the iterator reaches it, so that the
+    calls after a failed one never run; results, errors and their order
+    are the same on both paths.
+    """
+    if _use_workers(pipelines):
+        outcomes = _fork_each(pipelines, args)
+        if outcomes is not None:
+            return map(_unwrap, outcomes)
+    return (_run_core(pipeline, *args) for pipeline in pipelines)
 
 
 def cmd_process(args) -> int:
-    frame, width, height = _load_frame(args.input)
-    gray, stats = _run_variant(args.arch, frame, width, height, args)
-    _write_edges(args.output, gray)
+    width, height, rgb = _read_input(args.input)
+    pipeline = _edge_pipeline(args.arch, width, height, args)
+    stalls = StallModel(args.stall_prob, args.seed)
+    gray, stats = _run_core(pipeline, rgb, width, height, stalls)
+    _write_edges(args.output, width, height, gray)
     if args.report:
         resources = estimate_resources(args.arch, width, args.hls_depth)
         with open(args.report, "wb") as fh:
@@ -135,17 +244,20 @@ def cmd_process(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    frame, width, height = _load_frame(args.input)
-    hdl_gray, hdl_stats = _run_variant("hdl", frame, width, height, args)
-    hls_gray, hls_stats = _run_variant("hls", frame, width, height, args)
-    del frame  # the report builds both RGB outputs; do not hold the input too
+    width, height, rgb = _read_input(args.input)
+    # every setting is checked before either core runs, hdl's first
+    hdl = _edge_pipeline("hdl", width, height, args)
+    stalls = StallModel(args.stall_prob, args.seed)
+    pipelines = (hdl, _edge_pipeline("hls", width, height, args))
+    (hdl_gray, hdl_stats), (hls_gray, hls_stats) = _run_each(
+        pipelines, rgb, width, height, stalls)
     report = build_report(
         hdl_stats,
         hls_stats,
         estimate_resources("hdl", width),
         estimate_resources("hls", width, args.hls_depth),
-        gray_to_rgb(hdl_gray),
-        gray_to_rgb(hls_gray),
+        gray_to_rgb(GrayImage(width, height, hdl_gray)),
+        gray_to_rgb(GrayImage(width, height, hls_gray)),
         magnitude_mode=args.magnitude,
         stall_prob=args.stall_prob,
         seed=args.seed,
@@ -154,7 +266,7 @@ def cmd_compare(args) -> int:
         fh.write(serialize_report(report, args.format))
     base, ext = os.path.splitext(args.output)
     for tag, gray in (("hdl", hdl_gray), ("hls", hls_gray)):
-        _write_edges(f"{base}_{tag}{ext or '.bmp'}", gray)
+        _write_edges(f"{base}_{tag}{ext or '.bmp'}", width, height, gray)
     print(f"hamming_bits={report.hamming_bits} "
           f"cycle_ratio={report.cycle_ratio:.4f}", file=sys.stderr)
     return 0 if report.hamming_bits == 0 else 3

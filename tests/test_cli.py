@@ -1,27 +1,39 @@
 """End-to-end command-line tests; commands run in-process via main()."""
 
+import errno
 import importlib.util
 import json
+import os
 import random
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from sobelsim import (
+    DeadlockError,
     GrayImage,
     RgbImage,
+    SobelConfig,
+    StallModel,
+    build_pipeline,
+    edge_chain,
     gray_to_rgb,
     read_bmp,
     rgb2gray_frame_reference,
+    rgb_bytes_frame,
     row_stride,
+    run_frame,
     sobel_frame_reference,
     write_bmp,
 )
 from sobelsim import cli
 from sobelsim.cli import BENCH_CSV_HEADER, main
+from sobelsim.image_io import decode_bmp
 
 
 def write_input(path, width, height, pixel_fn):
@@ -225,6 +237,234 @@ class TestBench:
         assert rc == 1
         assert capsys.readouterr().err == f"sobelsim: error: {message}\n"
         assert not report.exists()
+
+
+def main_reaped(argv) -> int:
+    """main(argv), checking that it left no child process behind."""
+    rc = main(argv)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return rc
+
+
+def on_one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+@pytest.fixture(params=["real_affinity", "one_cpu"])
+def affinity(request, monkeypatch):
+    """Runs a test with this process's real CPU affinity, where compare and
+    bench fork a worker per core if it holds two or more CPUs, and with an
+    affinity of one CPU, where they run each core in this process."""
+    if request.param == "one_cpu":
+        on_one_cpu(monkeypatch)
+    return request.param
+
+
+def compare_args(tmp_path, *flags):
+    src = tmp_path / "in.bmp"
+    if not src.exists():
+        write_input(src, 13, 7, lambda x, y: (x * 19 % 256, y * 37 % 256, (x ^ y) * 11))
+    return ["compare", "--input", str(src), "--output", str(tmp_path / "edges.bmp"),
+            "--report", str(tmp_path / "cmp"), *flags]
+
+
+class TestWorkers:
+    """compare gives the same files, stderr and exit codes whether each core
+    runs in a forked worker or in this process."""
+
+    @pytest.fixture(autouse=True)
+    def alarm(self):
+        """alarm(seconds, error) raises error in this process after that long;
+        by default each test here fails after 120 s, as a parent that never
+        sees a worker's EOF would otherwise hang."""
+        def arm(seconds, error=TimeoutError):
+            def handler(signum, frame):
+                raise error(f"no result after {seconds} s")
+
+            signal.signal(signal.SIGALRM, handler)
+            signal.setitimer(signal.ITIMER_REAL, seconds)
+
+        previous = signal.getsignal(signal.SIGALRM)
+        arm(120)
+        yield arm
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("command,code", [
+        (["--format", "json"], 0),
+        (["--format", "csv", "--magnitude", "exact", "--stall-prob", "0.4", "--seed", "9"], 0),
+        (["--stall-prob", "1.0"], 2),
+        (["--hls-depth", "1"], 1),
+    ], ids=["json", "csv_exact_stalls", "deadlock", "bad_depth"])
+    def test_same_output_on_both_paths(self, tmp_path, capsys, monkeypatch, command, code):
+        outcomes = []
+        for path in ("real_affinity", "one_cpu"):
+            out = tmp_path / path
+            out.mkdir()
+            with monkeypatch.context() as patch:
+                if path == "one_cpu":
+                    on_one_cpu(patch)
+                rc = main_reaped(compare_args(out, *command))
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            outcomes.append((rc, capsys.readouterr().err, files))
+        assert outcomes[0][0] == code
+        assert outcomes[0] == outcomes[1]
+
+    def test_deadlock_gives_the_serial_text(self, tmp_path, capsys, affinity):
+        rc = main_reaped(compare_args(tmp_path, "--stall-prob", "1.0"))
+        pipeline = build_pipeline(edge_chain("hdl", SobelConfig(13, 7)))
+        _, _, rgb = decode_bmp((tmp_path / "in.bmp").read_bytes())
+        with pytest.raises(DeadlockError) as hdl_error:
+            run_frame(pipeline, rgb_bytes_frame(rgb), StallModel(1.0))
+        assert rc == 2
+        assert capsys.readouterr().err == f"sobelsim: deadlock: {hdl_error.value}\n"
+
+    @pytest.mark.parametrize("errors,code", [
+        ((ValueError, DeadlockError), 1),
+        ((DeadlockError, ValueError), 2),
+    ], ids=["hdl_value_error", "hdl_deadlock"])
+    def test_hdl_error_wins(self, tmp_path, capsys, monkeypatch, affinity, errors, code):
+        def failing_core(pipeline, rgb, width, height, stalls):
+            variant = pipeline.elements[1].name.split("_")[1]  # sobel_hdl, sobel_hls
+            raise errors[variant == "hls"](f"{variant} core failed")
+
+        monkeypatch.setattr(cli, "_run_core", failing_core)
+        assert main_reaped(compare_args(tmp_path)) == code
+        err = capsys.readouterr().err
+        assert err.startswith("sobelsim: ") and err.endswith(": hdl core failed\n")
+
+    def test_worker_that_exits_raises_the_declared_error(self, tmp_path, capsys,
+                                                          monkeypatch, affinity):
+        parent = os.getpid()
+
+        def exiting_core(pipeline, rgb, width, height, stalls):
+            if os.getpid() != parent:
+                os._exit(3)
+            raise ValueError("ran in this process")
+
+        monkeypatch.setattr(cli, "_run_core", exiting_core)
+        forks = len(os.sched_getaffinity(0)) >= 2
+        want = ("a simulation worker ended with exit status 3 and no result" if forks
+                else "ran in this process")
+        assert main_reaped(compare_args(tmp_path)) == 1
+        assert capsys.readouterr().err == f"sobelsim: error: {want}\n"
+        pipelines = [build_pipeline(edge_chain(v, SobelConfig(3, 3))) for v in ("hdl", "hls")]
+        results = cli._run_each(pipelines, b"", 3, 3, None)
+        with pytest.raises(cli.WorkerError if forks else ValueError, match=want):
+            list(results)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupt_reaps_the_workers(self, tmp_path, monkeypatch, affinity, alarm):
+        def slow_core(pipeline, rgb, width, height, stalls):
+            time.sleep(30)
+
+        monkeypatch.setattr(cli, "_run_core", slow_core)
+        alarm(0.3, KeyboardInterrupt)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(compare_args(tmp_path))
+        assert time.monotonic() - start < 10  # the workers were stopped, not awaited
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupt_during_a_fork_reaps_the_worker(self, tmp_path, monkeypatch):
+        fork, pipe, pipes = os.fork, os.pipe, []
+
+        def interrupted_fork():
+            pid = fork()
+            if pid:
+                # SIGINT is blocked here, so it is raised once the mask is restored
+                os.kill(os.getpid(), signal.SIGINT)
+            return pid
+
+        def recorded_pipe():
+            fds = pipe()
+            pipes.extend(fds)
+            return fds
+
+        monkeypatch.setattr(os, "fork", interrupted_fork)
+        monkeypatch.setattr(os, "pipe", recorded_pipe)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(KeyboardInterrupt):
+            main(compare_args(tmp_path))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(pipes) == 2  # the first worker's pipe
+        for fd in pipes:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    @pytest.mark.parametrize("forks_before_failing", [0, 1], ids=["first", "second"])
+    def test_no_room_for_a_worker_runs_each_core_here(self, tmp_path, capsys, monkeypatch,
+                                                      forks_before_failing):
+        fork, forked, here = os.fork, [], []
+
+        def limited_fork():
+            if len(forked) == forks_before_failing:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            forked.append(1)
+            return fork()
+
+        run_core, parent = cli._run_core, os.getpid()
+
+        def counted_core(*args):
+            if os.getpid() == parent:
+                here.append(1)
+            return run_core(*args)
+
+        outcomes = []
+        for path in ("no_room", "one_cpu"):
+            out = tmp_path / path
+            out.mkdir()
+            with monkeypatch.context() as patch:
+                if path == "one_cpu":
+                    on_one_cpu(patch)
+                else:
+                    patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+                    patch.setattr(os, "fork", limited_fork)
+                    patch.setattr(cli, "_run_core", counted_core)
+                rc = main_reaped(compare_args(out, "--stall-prob", "0.2", "--seed", "4"))
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            outcomes.append((rc, capsys.readouterr().err, files))
+        assert outcomes[0][0] == 0
+        assert outcomes[0] == outcomes[1]
+        assert len(forked) == forks_before_failing and len(here) == 2
+
+    def test_patched_tick_runs_in_this_process(self, tmp_path, monkeypatch, affinity):
+        ticks = {"hdl": 0, "hls": 0}
+        edge_pipeline = cli._edge_pipeline
+
+        def hooked_pipeline(variant, width, height, args):
+            pipeline = edge_pipeline(variant, width, height, args)
+            core = pipeline.elements[1]
+            class_tick = core.tick
+
+            def counted_tick(pin, pout):
+                ticks[variant] += 1
+                class_tick(pin, pout)
+
+            core.tick = counted_tick
+            return pipeline
+
+        monkeypatch.setattr(cli, "_edge_pipeline", hooked_pipeline)
+        assert main_reaped(compare_args(tmp_path, "--stall-prob", "0.3")) == 0
+        report = json.loads((tmp_path / "cmp").read_text())
+        assert ticks == {v: report[v]["total_cycles"] + 1 for v in ("hdl", "hls")}
+
+    def test_settings_checked_before_any_run(self, tmp_path, capsys, monkeypatch, affinity):
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            raise AssertionError("run_frame called before the settings were checked")
+
+        monkeypatch.setattr(cli, "run_frame", spy)
+        assert main_reaped(compare_args(tmp_path, "--hls-depth", "1")) == 1
+        assert capsys.readouterr().err == "sobelsim: error: pipeline depth must be at least 2\n"
+        assert calls == []
+        assert not (tmp_path / "cmp").exists()
 
 
 class TestExitCodes:
