@@ -21,9 +21,9 @@ import random
 import sys
 
 from .blocks import SobelConfig, edge_chain, rgb_bytes_frame, rgb_frame, unpack_words
-from .image_io import GrayImage, RgbImage, decode_bmp, encode_bmp, gray_to_rgb
-# not called here, but perfbench/tracing.py wraps both under these names
-from .image_io import read_bmp, write_bmp
+from .image_io import GrayImage, RgbImage, decode_bmp, encode_bmp
+# not called here, but perfbench/tracing.py wraps these under their names
+from .image_io import gray_to_rgb, read_bmp, write_bmp
 from .metrics import build_report, estimate_resources, serialize_report, serialize_run
 from .stream import DeadlockError, StallModel, build_pipeline, run_frame
 
@@ -256,8 +256,8 @@ def cmd_compare(args) -> int:
         hls_stats,
         estimate_resources("hdl", width),
         estimate_resources("hls", width, args.hls_depth),
-        gray_to_rgb(GrayImage(width, height, hdl_gray)),
-        gray_to_rgb(GrayImage(width, height, hls_gray)),
+        GrayImage(width, height, hdl_gray),
+        GrayImage(width, height, hls_gray),
         magnitude_mode=args.magnitude,
         stall_prob=args.stall_prob,
         seed=args.seed,

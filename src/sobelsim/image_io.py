@@ -179,16 +179,16 @@ def gray_to_rgb(image: GrayImage) -> RgbImage:
     return RgbImage(image.width, image.height, pixels)
 
 
-def hamming_distance(a: RgbImage, b: RgbImage) -> int:
+def hamming_distance(a: RgbImage, b: RgbImage, flatten=rgb_bytes) -> int:
     """Number of differing bits between the channel bytes of two rasters.
 
-    Both images are flattened by rgb_bytes and compared bitwise.  Raises
-    DimensionMismatchError if the geometries differ, and ValueError as
-    rgb_bytes does.
+    Both images are flattened by `flatten` (rgb_bytes, or gray_bytes for
+    two GrayImages) and compared bitwise.  Raises DimensionMismatchError
+    if the geometries differ, and ValueError as `flatten` does.
     """
     if (a.width, a.height) != (b.width, b.height):
         raise DimensionMismatchError(
             f"{a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    flat_a, flat_b = rgb_bytes(a), rgb_bytes(b)
+    flat_a, flat_b = flatten(a), flatten(b)
     return (int.from_bytes(flat_a, "big") ^ int.from_bytes(flat_b, "big")).bit_count()

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 
 from .blocks import ZERO_WINDOW, SobelConfig, sobel_pe
-from .image_io import RgbImage, hamming_distance
+from .image_io import GrayImage, gray_bytes, hamming_distance
 from .stream import CycleStats
 
 CSV_HEADER = (
@@ -78,19 +78,20 @@ def build_report(
     hls_stats: CycleStats,
     hdl_resources: ResourceEstimate,
     hls_resources: ResourceEstimate,
-    hdl_image: RgbImage,
-    hls_image: RgbImage,
+    hdl_image: GrayImage,
+    hls_image: GrayImage,
     magnitude_mode: str = "approx",
     stall_prob: float = 0.0,
     seed: int = 0,
 ) -> ComparisonReport:
     """Combine two runs of the same frame into one report.
 
-    Raises DimensionMismatchError if the two output images disagree on
-    geometry; hamming_bits is their bit-level distance and cycle_ratio is
-    hls cycles over hdl cycles.
+    Raises DimensionMismatchError if the two gray outputs disagree on
+    geometry; hamming_bits is the bit distance of the RGB images they are
+    written as (3 times that of their bytes), and cycle_ratio is hls
+    cycles over hdl cycles.
     """
-    bits = hamming_distance(hdl_image, hls_image)
+    bits = 3 * hamming_distance(hdl_image, hls_image, gray_bytes)
     return ComparisonReport(
         width=hdl_image.width,
         height=hdl_image.height,

@@ -12,8 +12,10 @@ stall cycle absorbed without a bubble.
 
 from __future__ import annotations
 
+import linecache
 import random
 from dataclasses import dataclass
+from string import Template
 from typing import NamedTuple, Optional
 
 PAYLOAD_WIDTHS = (8, 24, 32)
@@ -194,6 +196,7 @@ class Pipeline:
         self.sink_channel = self.channels[-1]
         self.wiring = list(zip(self.elements, self.channels[:-1], self.channels[1:]))
         self.stage_count = sum(pe.stage_count for pe in self.elements)
+        _cycle_loop(len(self.wiring))  # compiled here, so forked workers inherit it
 
     def reset(self):
         for ch in self.channels:
@@ -248,6 +251,98 @@ def _validate_frame(frame, payload_width: int):
         raise ValueError("final beat must carry the last flag")
 
 
+# run_frame's cycle loop for n elements.  _cycle_loop puts one _ELEMENT per
+# element i at $elements: element i ticks from channel c{i} into c{i+1}
+_CYCLE_LOOP = Template("""\
+def cycle_loop(frame, watchdog, probability, draw, $ticks, $channels):
+    $queues, $capacities = $channel_queues, $channel_capacities
+    src, src_q, snk, snk_q, snk_capacity = c0, q0, c$n, q$n, capacity$n
+    stalls_always = probability == 1.0
+
+    received = []
+    receive = received.append
+    frame_len = len(frame)
+    src_idx = 0
+    cycle = 0
+    stall_cycles = 0
+    stalled_at = -1  # the last cycle in which the sink drew a stall
+    first_output = -1
+    idle = 0
+    prev_moves = 0
+    done = False  # set once, by the beat that ends the run
+
+    # the channels are empty after the reset, and so latched for cycle 0.
+    # A channel is latched for the next cycle once its consumer has acted:
+    # its producer acted before, and nothing later in the cycle reads it
+    while True:
+        # run_frame range-checked the frame against this channel's width
+        if src_idx < frame_len and src.free:
+            src_q.append(frame[src_idx])
+            src.moves += 1
+            src_idx += 1
+
+$elements
+        if draw is not None and draw() < probability:
+            stall_cycles += 1
+            stalled_at = cycle
+        elif snk.head is not None:
+            beat = snk.head
+            if type(beat) is not Beat:  # a plain pair from an element
+                beat = new_beat(Beat, beat)
+            del snk_q[0]
+            snk.moves += 1
+            receive(beat)
+            if first_output < 0:
+                first_output = cycle
+            done = beat[1]
+        snk.head = snk_q[0] if snk_q else None
+        snk.free = len(snk_q) < snk_capacity
+        moves = $moves
+
+        if moves != prev_moves:
+            idle = 0
+            prev_moves = moves
+        elif stalled_at != cycle or stalls_always:
+            idle += 1
+            if idle > watchdog:
+                raise DeadlockError(
+                    f"no beat moved for {idle} cycles (watchdog {watchdog}, "
+                    f"cycle {cycle}, {len(received)} beats received)"
+                )
+
+        if done:
+            break
+        cycle += 1
+    return received, cycle, first_output, stall_cycles
+""")
+_ELEMENT = Template("""\
+        tick$i(c$i, c$j)
+        c$i.head = q$i[0] if q$i else None
+        c$i.free = len(q$i) < capacity$i
+""")
+_LOOPS = {}  # element count -> its compiled cycle loop
+
+
+def _cycle_loop(n: int):
+    """run_frame's cycle loop for n elements, compiled on the first call."""
+    if n not in _LOOPS:
+        def names(pattern, count=n + 1, sep=", "):
+            return sep.join(pattern.format(i) for i in range(count))
+
+        source = _CYCLE_LOOP.substitute(
+            n=n, ticks=names("tick{}", n), channels=names("c{}"), queues=names("q{}"),
+            capacities=names("capacity{}"), channel_queues=names("c{}._q"),
+            channel_capacities=names("c{}.capacity"), moves=names("c{}.moves", sep=" + "),
+            elements="".join(_ELEMENT.substitute(i=i, j=i + 1) for i in range(n)))
+        filename = f"<run_frame loop: {n} elements>"
+        # in linecache, so that a traceback through the loop shows its lines
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        namespace = {}
+        exec(compile(source, filename, "exec"), globals(), namespace)
+        _LOOPS[n] = namespace["cycle_loop"]
+    return _LOOPS[n]
+
+
 def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
               watchdog: Optional[int] = None):
     """Drive one frame through a pipeline and collect the sink's beats.
@@ -270,77 +365,11 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
         watchdog = 10 * len(frame) + pipeline.stage_count
 
     # bound after the reset, so that a tick patched onto an instance is seen
-    ticks = [(pe.tick, cin, cout, cin._q, cin.capacity)
-             for pe, cin, cout in pipeline.wiring]
-    src = pipeline.source_channel
-    snk = pipeline.sink_channel
-    src_q = src._q
-    snk_q = snk._q
-    snk_capacity = snk.capacity
+    ticks = [pe.tick for pe, _, _ in pipeline.wiring]
     probability = stalls.probability
     draw = random.Random(stalls.seed).random if probability > 0.0 else None
-    stalls_always = probability == 1.0
-
-    received = []
-    receive = received.append
-    frame_len = len(frame)
-    src_idx = 0
-    cycle = 0
-    stall_cycles = 0
-    stalled_at = -1  # the last cycle in which the sink drew a stall
-    first_output = -1
-    idle = 0
-    prev_moves = 0
-    done = False  # set once, by the beat that ends the run
-
-    # the channels are empty after the reset, and so latched for cycle 0.
-    # A channel is latched for the next cycle once its consumer has acted:
-    # its producer acted before, and nothing later in the cycle reads it
-    while True:
-        # the frame was range-checked against this channel's width above
-        if src_idx < frame_len and src.free:
-            src_q.append(frame[src_idx])
-            src.moves += 1
-            src_idx += 1
-
-        moves = 0
-        for tick, cin, cout, q, capacity in ticks:
-            tick(cin, cout)
-            cin.head = q[0] if q else None
-            cin.free = len(q) < capacity
-            moves += cin.moves
-
-        if draw is not None and draw() < probability:
-            stall_cycles += 1
-            stalled_at = cycle
-        elif snk.head is not None:
-            beat = snk.head
-            if type(beat) is not Beat:  # a plain pair from an element
-                beat = new_beat(Beat, beat)
-            del snk_q[0]
-            snk.moves += 1
-            receive(beat)
-            if first_output < 0:
-                first_output = cycle
-            done = beat[1]
-        snk.head = snk_q[0] if snk_q else None
-        snk.free = len(snk_q) < snk_capacity
-        moves += snk.moves
-
-        if moves != prev_moves:
-            idle = 0
-            prev_moves = moves
-        elif stalled_at != cycle or stalls_always:
-            idle += 1
-            if idle > watchdog:
-                raise DeadlockError(
-                    f"no beat moved for {idle} cycles (watchdog {watchdog}, "
-                    f"cycle {cycle}, {len(received)} beats received)"
-                )
-
-        if done:
-            break
-        cycle += 1
+    received, cycle, first_output, stall_cycles = _cycle_loop(len(ticks))(
+        frame, watchdog, probability, draw, *ticks, *pipeline.channels)
 
     # CycleStats(*stats) without the Python-level NamedTuple.__new__
     stats = (cycle, first_output, len(received), stall_cycles)

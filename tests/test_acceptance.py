@@ -311,7 +311,7 @@ def test_criterion_9_no_fabricated_hardware_figures():
     def run():
         from sobelsim import build_report, serialize_report
 
-        image = RgbImage(3, 3, [(9, 9, 9)] * 9)
+        image = GrayImage(3, 3, [9] * 9)
         from sobelsim import CycleStats
         report = build_report(
             CycleStats(17, 10, 9, 0), CycleStats(19, 12, 9, 0),

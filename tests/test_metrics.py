@@ -12,13 +12,15 @@ from sobelsim import (
     ComparisonReport,
     CycleStats,
     DimensionMismatchError,
+    GrayImage,
     ResourceEstimate,
-    RgbImage,
     SobelConfig,
     build_pipeline,
     build_report,
     estimate_resources,
     gray_frame,
+    gray_to_rgb,
+    hamming_distance,
     run_frame,
     serialize_report,
     sobel_pe,
@@ -31,9 +33,9 @@ def stats(total, first=10, beats=100, stalls=0):
 
 
 def sample_report(hdl_total=600, hls_total=660, pixels_b=None):
-    pixels_a = [(1, 2, 3)] * 4
-    img_a = RgbImage(2, 2, pixels_a)
-    img_b = RgbImage(2, 2, pixels_b or pixels_a)
+    pixels_a = [1, 2, 3, 4]
+    img_a = GrayImage(2, 2, pixels_a)
+    img_b = GrayImage(2, 2, pixels_b or pixels_a)
     return build_report(
         stats(hdl_total),
         stats(hls_total),
@@ -97,16 +99,29 @@ class TestBuildReport:
         assert sample_report().hamming_bits == 0
 
     def test_differing_images_count_bits(self):
-        report = sample_report(pixels_b=[(1, 2, 3)] * 3 + [(1, 2, 2)])
-        assert report.hamming_bits == 1
+        # one gray bit stands for the same bit in all three RGB channels
+        report = sample_report(pixels_b=[1, 2, 3, 5])
+        assert report.hamming_bits == 3
 
     def test_geometry_mismatch_propagates(self):
         with pytest.raises(DimensionMismatchError):
             build_report(
                 stats(1), stats(1),
                 estimate_resources("hdl", 3), estimate_resources("hls", 3),
-                RgbImage(1, 2, [(0, 0, 0)] * 2), RgbImage(2, 1, [(0, 0, 0)] * 2),
+                GrayImage(1, 2, [0] * 2), GrayImage(2, 1, [0] * 2),
             )
+
+    @given(data=st.data(), width=st.integers(1, 6), height=st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_gray_distance_is_the_rgb_distance(self, data, width, height):
+        # the report counts the bits of the RGB images compare writes
+        pixels = st.lists(st.integers(0, 255), min_size=width * height,
+                          max_size=width * height)
+        a = GrayImage(width, height, data.draw(pixels))
+        b = GrayImage(width, height, data.draw(pixels))
+        report = build_report(stats(1), stats(1), estimate_resources("hdl", 3),
+                              estimate_resources("hls", 3), a, b)
+        assert report.hamming_bits == hamming_distance(gray_to_rgb(a), gray_to_rgb(b))
 
 
 class TestSerialization:

@@ -18,6 +18,7 @@ from helpers import random_gray, random_rgb
 from sobelsim import (
     Beat,
     Channel,
+    CycleStats,
     DeadlockError,
     GrayImage,
     ProcessingElement,
@@ -400,3 +401,112 @@ class TestRunFrame:
         beats_b, _ = run_frame(pipe, frame_b)
         assert [b.data for b in beats_a] == [1, 2, 3]
         assert [b.data for b in beats_b] == [9, 8, 7, 6]
+
+
+LOOP_FRAME = byte_frame([(37 * i + 5) % 256 for i in range(9)])
+
+
+class TestCycleLoops:
+    """run_frame's loop is compiled per element count; these pin its results
+    for 1 to 6 elements, with the values the generic loop it replaced gave."""
+
+    # (elements, RegisterStage bit mask (bit i: element i), stall probability,
+    # stall seed, CycleStats)
+    RUNS = [
+        (1, 0b0, 0.0, 0, (10, 2, 9, 0)),
+        (1, 0b0, 0.5, 1, (21, 2, 9, 12)),
+        (1, 0b1, 0.0, 0, (11, 3, 9, 0)),
+        (1, 0b1, 0.5, 1, (22, 6, 9, 12)),
+        (2, 0b00, 0.0, 0, (11, 3, 9, 0)),
+        (2, 0b00, 0.5, 2, (16, 4, 9, 6)),
+        (2, 0b01, 0.0, 0, (12, 4, 9, 0)),
+        (2, 0b01, 0.5, 2, (16, 4, 9, 6)),
+        (2, 0b11, 0.0, 0, (13, 5, 9, 0)),
+        (2, 0b11, 0.5, 2, (17, 5, 9, 6)),
+        (3, 0b000, 0.0, 0, (12, 4, 9, 0)),
+        (3, 0b000, 0.5, 3, (19, 4, 9, 9)),
+        (3, 0b101, 0.0, 0, (14, 6, 9, 0)),
+        (3, 0b101, 0.5, 3, (20, 7, 9, 9)),
+        (3, 0b111, 0.0, 0, (15, 7, 9, 0)),
+        (3, 0b111, 0.5, 3, (20, 7, 9, 9)),
+        (4, 0b0000, 0.0, 0, (13, 5, 9, 0)),
+        (4, 0b0000, 0.5, 4, (21, 6, 9, 13)),
+        (4, 0b0101, 0.0, 0, (15, 7, 9, 0)),
+        (4, 0b0101, 0.5, 4, (22, 7, 9, 13)),
+        (4, 0b1111, 0.0, 0, (17, 9, 9, 0)),
+        (4, 0b1111, 0.5, 4, (24, 10, 9, 13)),
+        (5, 0b00000, 0.0, 0, (14, 6, 9, 0)),
+        (5, 0b00000, 0.5, 5, (24, 8, 9, 10)),
+        (5, 0b10101, 0.0, 0, (17, 9, 9, 0)),
+        (5, 0b10101, 0.5, 5, (27, 9, 9, 12)),
+        (5, 0b11111, 0.0, 0, (19, 11, 9, 0)),
+        (5, 0b11111, 0.5, 5, (31, 14, 9, 14)),
+        (6, 0b000000, 0.0, 0, (15, 7, 9, 0)),
+        (6, 0b000000, 0.5, 6, (20, 7, 9, 9)),
+        (6, 0b010101, 0.0, 0, (18, 10, 9, 0)),
+        (6, 0b010101, 0.5, 6, (22, 11, 9, 9)),
+        (6, 0b111111, 0.0, 0, (21, 13, 9, 0)),
+        (6, 0b111111, 0.5, 6, (26, 14, 9, 11)),
+    ]
+    # (elements, position of the NeverConsumes among PassThroughs, message)
+    DEADLOCKS = [
+        (1, 0, 'no beat moved for 92 cycles (watchdog 91, cycle 93, 0 beats received)'),
+        (2, 0, 'no beat moved for 93 cycles (watchdog 92, cycle 94, 0 beats received)'),
+        (2, 1, 'no beat moved for 93 cycles (watchdog 92, cycle 96, 0 beats received)'),
+        (3, 0, 'no beat moved for 94 cycles (watchdog 93, cycle 95, 0 beats received)'),
+        (3, 1, 'no beat moved for 94 cycles (watchdog 93, cycle 97, 0 beats received)'),
+        (3, 2, 'no beat moved for 94 cycles (watchdog 93, cycle 99, 0 beats received)'),
+        (4, 0, 'no beat moved for 95 cycles (watchdog 94, cycle 96, 0 beats received)'),
+        (4, 1, 'no beat moved for 95 cycles (watchdog 94, cycle 98, 0 beats received)'),
+        (4, 2, 'no beat moved for 95 cycles (watchdog 94, cycle 100, 0 beats received)'),
+        (4, 3, 'no beat moved for 95 cycles (watchdog 94, cycle 102, 0 beats received)'),
+        (5, 0, 'no beat moved for 96 cycles (watchdog 95, cycle 97, 0 beats received)'),
+        (5, 1, 'no beat moved for 96 cycles (watchdog 95, cycle 99, 0 beats received)'),
+        (5, 2, 'no beat moved for 96 cycles (watchdog 95, cycle 101, 0 beats received)'),
+        (5, 3, 'no beat moved for 96 cycles (watchdog 95, cycle 103, 0 beats received)'),
+        (5, 4, 'no beat moved for 96 cycles (watchdog 95, cycle 104, 0 beats received)'),
+        (6, 0, 'no beat moved for 97 cycles (watchdog 96, cycle 98, 0 beats received)'),
+        (6, 1, 'no beat moved for 97 cycles (watchdog 96, cycle 100, 0 beats received)'),
+        (6, 2, 'no beat moved for 97 cycles (watchdog 96, cycle 102, 0 beats received)'),
+        (6, 3, 'no beat moved for 97 cycles (watchdog 96, cycle 104, 0 beats received)'),
+        (6, 4, 'no beat moved for 97 cycles (watchdog 96, cycle 105, 0 beats received)'),
+        (6, 5, 'no beat moved for 97 cycles (watchdog 96, cycle 106, 0 beats received)'),
+    ]
+
+    @pytest.mark.parametrize("n, mask, probability, seed, expected", RUNS)
+    def test_results_match_the_generic_loop(self, n, mask, probability, seed, expected):
+        elements = [RegisterStage() if mask >> i & 1 else PassThrough() for i in range(n)]
+        pipe = build_pipeline(elements)
+        patched = elements[n // 2]
+        class_tick = patched.tick
+        calls = []
+
+        def counted_tick(pin, pout):
+            calls.append(1)
+            class_tick(pin, pout)
+
+        patched.tick = counted_tick
+        beats, stats = run_frame(pipe, LOOP_FRAME, StallModel(probability, seed))
+        assert beats == LOOP_FRAME and all(type(b) is Beat for b in beats)
+        assert stats == CycleStats(*expected)
+        assert len(calls) == stats.total_cycles + 1
+        assert [(ch.pushed, ch.popped, len(ch)) for ch in pipe.channels] == [(9, 9, 0)] * (n + 1)
+
+    @pytest.mark.parametrize("n, position, message", DEADLOCKS)
+    def test_deadlock_text_matches_the_generic_loop(self, n, position, message):
+        elements = [PassThrough() for _ in range(n)]
+        elements[position] = NeverConsumes()
+        with pytest.raises(DeadlockError) as err:
+            run_frame(build_pipeline(elements), LOOP_FRAME)
+        assert str(err.value) == message
+
+    def test_traceback_names_the_loop(self):
+        class Fails(PassThrough):
+            def tick(self, pin, pout):
+                raise KeyError("from a tick")
+
+        with pytest.raises(KeyError) as err:
+            run_frame(build_pipeline([PassThrough(), Fails(), PassThrough()]), LOOP_FRAME)
+        entry = err.traceback[-2]
+        assert str(entry.path) == "<run_frame loop: 3 elements>"
+        assert str(entry.statement).strip() == "tick1(c1, c2)"
