@@ -2,7 +2,6 @@
 
 from .blocks import (
     ConfigMismatchError,
-    GradientPair,
     LineBuffer,
     Rgb2GrayPE,
     SobelConfig,

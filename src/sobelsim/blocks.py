@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from math import isqrt
 from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .image_io import GrayImage, RgbImage, gray_bytes, rgb_bytes
 from .stream import BYTE_BEATS, ProcessingElement, ProtocolError
@@ -44,13 +44,6 @@ class ConfigMismatchError(RuntimeError):
 
 
 # ---- convolution primitives ------------------------------------------
-
-
-class GradientPair(NamedTuple):
-    """Signed horizontal/vertical gradients; each within +/-1020 for 8-bit input."""
-
-    gh: int
-    gv: int
 
 
 class LineBuffer:
@@ -103,13 +96,12 @@ def sobel_kernel(window: tuple, exact: bool = False) -> int:
     return 255 if mag > 255 else mag
 
 
-def magnitude(g: GradientPair, mode: str = "approx") -> int:
-    """Gradient magnitude saturated to 8 bits.
+def magnitude(gh: int, gv: int, mode: str = "approx") -> int:
+    """Magnitude of the signed gradients gh and gv, saturated to 8 bits.
 
     "approx" is |gh| + |gv|; "exact" is the Euclidean magnitude rounded
     half away from zero.  Both clamp at 255.
     """
-    gh, gv = g.gh, g.gv
     if mode == "exact":
         # sqrt(x) rounded half away from zero, in integers as hardware
         # does it: floor(sqrt(x) + 1/2) = (floor(sqrt(4x)) + 1) // 2
@@ -137,6 +129,8 @@ class SobelConfig:
     magnitude_mode: str = "approx"
 
     def __post_init__(self):
+        if not (isinstance(self.width, int) and isinstance(self.height, int)):
+            raise ValueError(f"frame geometry must be integers, got {self.width!r}x{self.height!r}")
         if self.width < 3 or self.height < 3:
             raise ValueError("frame must be at least 3x3")
         if self.magnitude_mode not in ("approx", "exact"):
@@ -478,8 +472,8 @@ def unpack_words(beats, byte_count: int) -> list:
         out = struct.pack(f"<{len(data)}I", *data)
     except struct.error:
         raise ValueError("word beats must hold 32-bit unsigned data") from None
-    if byte_count > len(out):
-        raise ValueError(f"{len(beats)} words hold fewer than {byte_count} bytes")
+    if not 0 <= byte_count <= len(out):
+        raise ValueError(f"{len(beats)} words cannot hold {byte_count} bytes")
     if any(out[byte_count:]):
         raise ValueError("padding bytes beyond the frame end must be zero")
     return list(out[:byte_count])

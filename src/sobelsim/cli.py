@@ -20,9 +20,10 @@ import os
 import random
 import sys
 
-from .blocks import SobelConfig, edge_chain, rgb_bytes_frame, rgb_frame, unpack_words
-from .image_io import GrayImage, RgbImage, decode_bmp, encode_bmp
+from .blocks import SobelConfig, edge_chain, rgb_bytes_frame, unpack_words
+from .image_io import GrayImage, decode_bmp, encode_bmp
 # not called here, but perfbench/tracing.py wraps these under their names
+from .blocks import rgb_frame
 from .image_io import gray_to_rgb, read_bmp, write_bmp
 from .metrics import build_report, estimate_resources, serialize_report, serialize_run
 from .stream import DeadlockError, StallModel, build_pipeline, run_frame
@@ -277,9 +278,8 @@ def cmd_bench(args) -> int:
     pipelines = [(variant, _edge_pipeline(variant, args.width, args.height, args))
                  for variant in ("hdl", "hls")]
     rng = random.Random(args.seed)
-    pixels = [(rng.randrange(256), rng.randrange(256), rng.randrange(256))
-              for _ in range(args.width * args.height)]
-    frame = rgb_frame(RgbImage(args.width, args.height, pixels))
+    rgb = bytes(rng.randrange(256) for _ in range(3 * args.width * args.height))
+    frame = rgb_bytes_frame(rgb)
 
     lines = [BENCH_CSV_HEADER]
     for variant, pipeline in pipelines:

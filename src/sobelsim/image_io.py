@@ -179,16 +179,20 @@ def gray_to_rgb(image: GrayImage) -> RgbImage:
     return RgbImage(image.width, image.height, pixels)
 
 
-def hamming_distance(a: RgbImage, b: RgbImage, flatten=rgb_bytes) -> int:
-    """Number of differing bits between the channel bytes of two rasters.
+def hamming_distance(a, b) -> int:
+    """Number of differing bits between two GrayImages' or two RgbImages' bytes.
 
-    Both images are flattened by `flatten` (rgb_bytes, or gray_bytes for
-    two GrayImages) and compared bitwise.  Raises DimensionMismatchError
-    if the geometries differ, and ValueError as `flatten` does.
+    Each image is flattened by gray_bytes or rgb_bytes, as its type says,
+    and the two are compared bitwise.  Raises DimensionMismatchError if the
+    geometries differ, ValueError if the types differ, and ValueError as
+    the flattening does.
     """
     if (a.width, a.height) != (b.width, b.height):
         raise DimensionMismatchError(
             f"{a.width}x{a.height} vs {b.width}x{b.height}"
         )
+    if type(a) is not type(b):
+        raise ValueError(f"cannot compare a {type(a).__name__} with a {type(b).__name__}")
+    flatten = gray_bytes if isinstance(a, GrayImage) else rgb_bytes
     flat_a, flat_b = flatten(a), flatten(b)
     return (int.from_bytes(flat_a, "big") ^ int.from_bytes(flat_b, "big")).bit_count()

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 
 from .blocks import ZERO_WINDOW, SobelConfig, sobel_pe
-from .image_io import GrayImage, gray_bytes, hamming_distance
+from .image_io import GrayImage, hamming_distance
 from .stream import CycleStats
 
 CSV_HEADER = (
@@ -91,7 +91,7 @@ def build_report(
     written as (3 times that of their bytes), and cycle_ratio is hls
     cycles over hdl cycles.
     """
-    bits = 3 * hamming_distance(hdl_image, hls_image, gray_bytes)
+    bits = 3 * hamming_distance(hdl_image, hls_image)
     return ComparisonReport(
         width=hdl_image.width,
         height=hdl_image.height,

@@ -192,8 +192,6 @@ class Pipeline:
     def __init__(self, elements, channels):
         self.elements = list(elements)
         self.channels = list(channels)
-        self.source_channel = self.channels[0]
-        self.sink_channel = self.channels[-1]
         self.wiring = list(zip(self.elements, self.channels[:-1], self.channels[1:]))
         self.stage_count = sum(pe.stage_count for pe in self.elements)
         _cycle_loop(len(self.wiring))  # compiled here, so forked workers inherit it
@@ -360,7 +358,7 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
     (probability 1.0).
     """
     pipeline.reset()
-    _validate_frame(frame, pipeline.source_channel.payload_width)
+    _validate_frame(frame, pipeline.channels[0].payload_width)
     if watchdog is None:
         watchdog = 10 * len(frame) + pipeline.stage_count
 

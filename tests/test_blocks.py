@@ -18,7 +18,6 @@ from sobelsim import blocks
 from sobelsim import (
     Beat,
     ConfigMismatchError,
-    GradientPair,
     GrayImage,
     LineBuffer,
     ProtocolError,
@@ -62,9 +61,8 @@ def window(grid):
 
 def kernel_matches(grid, gh, gv):
     """sobel_kernel gives the magnitude of (gh, gv) in both modes."""
-    g = GradientPair(gh, gv)
-    return (sobel_kernel(window(grid)) == magnitude(g, "approx")
-            and sobel_kernel(window(grid), exact=True) == magnitude(g, "exact"))
+    return (sobel_kernel(window(grid)) == magnitude(gh, gv, "approx")
+            and sobel_kernel(window(grid), exact=True) == magnitude(gh, gv, "exact"))
 
 
 class TestMasksAndConvolve:
@@ -137,27 +135,26 @@ class TestLineBuffer:
 
 class TestMagnitude:
     def test_three_four_five(self):
-        assert magnitude(GradientPair(3, 4), "exact") == 5
-        assert magnitude(GradientPair(3, 4), "approx") == 7
+        assert magnitude(3, 4, "exact") == 5
+        assert magnitude(3, 4, "approx") == 7
 
     def test_saturation(self):
-        assert magnitude(GradientPair(1020, 0), "approx") == 255
-        assert magnitude(GradientPair(1020, 0), "exact") == 255
-        assert magnitude(GradientPair(-1020, -1020), "approx") == 255
+        assert magnitude(1020, 0, "approx") == 255
+        assert magnitude(1020, 0, "exact") == 255
+        assert magnitude(-1020, -1020, "approx") == 255
 
     def test_zero(self):
-        assert magnitude(GradientPair(0, 0), "approx") == 0
-        assert magnitude(GradientPair(0, 0), "exact") == 0
+        assert magnitude(0, 0, "approx") == 0
+        assert magnitude(0, 0, "exact") == 0
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            magnitude(GradientPair(1, 1), "euclid")
+            magnitude(1, 1, "euclid")
 
     @given(st.integers(-1020, 1020), st.integers(-1020, 1020))
     @settings(max_examples=200)
     def test_exact_never_exceeds_approx(self, gh, gv):
-        g = GradientPair(gh, gv)
-        e, a = magnitude(g, "exact"), magnitude(g, "approx")
+        e, a = magnitude(gh, gv, "exact"), magnitude(gh, gv, "approx")
         assert 0 <= e <= a <= 255
 
     def test_integer_rounding_matches_float_sqrt(self):
@@ -176,6 +173,11 @@ class TestSobelConfig:
     def test_mode_and_border_validation(self):
         with pytest.raises(ValueError):
             SobelConfig(3, 3, magnitude_mode="manhattan")
+
+    @pytest.mark.parametrize("w,h", [(3.5, 3), (3, 3.0), ("3", 3), (3, None)])
+    def test_geometry_that_is_not_an_integer_rejected(self, w, h):
+        with pytest.raises(ValueError, match="frame geometry must be integers"):
+            SobelConfig(w, h)
 
 
 class TestRgb2Gray:
@@ -265,6 +267,12 @@ class TestU8ToU32:
             unpack_words([Beat(1, True)], 9)
         with pytest.raises(ValueError):
             unpack_words([Beat(1 << 32, True)], 4)
+
+    @pytest.mark.parametrize("byte_count", [-1, -4, -5])
+    def test_unpack_rejects_a_negative_byte_count(self, byte_count):
+        # a negative count would slice bytes off the end of the words
+        with pytest.raises(ValueError, match=f"cannot hold {byte_count} bytes"):
+            unpack_words([Beat(1, True)], byte_count)
 
     @pytest.mark.parametrize("beat", [5, None, (), 1.5])
     def test_unpack_rejects_a_beat_that_is_not_a_pair(self, beat):

@@ -228,15 +228,33 @@ class TestBench:
     ], ids=["hls_depth", "width"])
     def test_settings_checked_before_the_frame_is_built(self, tmp_path, capsys,
                                                         monkeypatch, flags, message):
-        def spy(image):
-            raise AssertionError("rgb_frame called before the settings were checked")
+        def spy(rgb):
+            raise AssertionError("rgb_bytes_frame called before the settings were checked")
 
-        monkeypatch.setattr(cli, "rgb_frame", spy)
+        monkeypatch.setattr(cli, "rgb_bytes_frame", spy)
         report = tmp_path / "bench.csv"
         rc = main(["bench", "--seed", "1", "--report", str(report)] + flags)
         assert rc == 1
         assert capsys.readouterr().err == f"sobelsim: error: {message}\n"
         assert not report.exists()
+
+    def test_frame_holds_the_seeded_per_pixel_draw(self, tmp_path, monkeypatch):
+        # the cores' cycle counts do not depend on the data, so no CSV can
+        # show which raster bench ran; its bytes are the seed's (r, g, b)
+        # draws, pixel by pixel in raster order
+        seen = []
+
+        def spy(rgb):
+            seen.append(bytes(rgb))
+            return rgb_bytes_frame(rgb)
+
+        monkeypatch.setattr(cli, "rgb_bytes_frame", spy)
+        assert main(["bench", "--width", "5", "--height", "4", "--seed", "11",
+                     "--report", str(tmp_path / "bench.csv")]) == 0
+        rng = random.Random(11)
+        pixels = [(rng.randrange(256), rng.randrange(256), rng.randrange(256))
+                  for _ in range(5 * 4)]
+        assert seen == [bytes(c for pixel in pixels for c in pixel)]
 
 
 def main_reaped(argv) -> int:

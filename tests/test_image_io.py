@@ -313,6 +313,19 @@ class TestHamming:
                 RgbImage(1, 2, [(0, 0, 0)] * 2), RgbImage(2, 1, [(0, 0, 0)] * 2)
             )
 
+    def test_gray_images_compare_their_intensities(self):
+        assert hamming_distance(GrayImage(1, 1, [0]), GrayImage(1, 1, [1])) == 1
+
+    @pytest.mark.parametrize("gray_first", [True, False])
+    def test_images_of_different_types_are_rejected(self, gray_first):
+        # RgbImage pixels are not checked on construction, so [5] would
+        # pass as a gray raster if only the flattening could reject it
+        pair = [GrayImage(1, 1, [5]), RgbImage(1, 1, [5])]
+        if not gray_first:
+            pair.reverse()
+        with pytest.raises(ValueError, match="cannot compare a .*Image with a .*Image"):
+            hamming_distance(*pair)
+
     @given(rgb_images(max_side=5), rgb_images(max_side=5), rgb_images(max_side=5))
     @settings(max_examples=30)
     def test_metric_properties(self, a, b, c):

@@ -121,7 +121,8 @@ class TestBuildReport:
         b = GrayImage(width, height, data.draw(pixels))
         report = build_report(stats(1), stats(1), estimate_resources("hdl", 3),
                               estimate_resources("hls", 3), a, b)
-        assert report.hamming_bits == hamming_distance(gray_to_rgb(a), gray_to_rgb(b))
+        rgb_bits = hamming_distance(gray_to_rgb(a), gray_to_rgb(b))
+        assert report.hamming_bits == 3 * hamming_distance(a, b) == rgb_bits
 
 
 class TestSerialization:

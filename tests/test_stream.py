@@ -187,8 +187,8 @@ class TestBuildPipeline:
         pe.in_width, pe.out_width = 24, 8
         pipe = build_pipeline([pe])
         assert len(pipe.channels) == 2
-        assert pipe.source_channel.payload_width == 24
-        assert pipe.sink_channel.payload_width == 8
+        assert pipe.channels[0].payload_width == 24
+        assert pipe.channels[-1].payload_width == 8
 
 
 class TestRunFrame:
@@ -357,7 +357,7 @@ class TestRunFrame:
                                      StallModel(p, seed=w * h))
                 n = w * h
                 assert len(beats) == -(-n // 4)
-                assert pipe.source_channel.pushed == n
+                assert pipe.channels[0].pushed == n
                 accepts_emits = [(cin.popped, cout.pushed)
                                  for _, cin, cout in pipe.wiring]
                 assert accepts_emits == [(n, n), (n, n), (n, len(beats))], (variant, w, h)
