@@ -3,8 +3,10 @@
 
 For each core the script builds one seeded random frame, runs it once
 through the full chain (RGB frame: grayscale -> core -> word packer) and
-once through the core alone (gray frame), and counts every bytecode
-executed inside run_frame with sys.settrace and f_trace_opcodes.  The
+once through the core alone (gray frame), and a third time through the
+core alone in exact mode with the sink stalling at p=0.5 (seed 7), the
+shape of the stall_core benchmark.  It counts every bytecode executed
+inside run_frame with sys.settrace and f_trace_opcodes.  The
 count is divided by the run's cycles, total_cycles + 1.  Frame building
 and pipeline construction are outside the count.  A second, untraced run
 of each row counts the cyclic garbage collections it triggers (after a
@@ -24,9 +26,11 @@ import random
 import sys
 
 from sobelsim import (
+    NO_STALLS,
     GrayImage,
     RgbImage,
     SobelConfig,
+    StallModel,
     build_pipeline,
     edge_chain,
     rgb_frame,
@@ -36,7 +40,10 @@ from sobelsim import (
 from sobelsim.blocks import gray_frame
 
 
-def count_opcodes(pipeline, frame):
+SINK_STALLS = StallModel(0.5, seed=7)
+
+
+def count_opcodes(pipeline, frame, stalls):
     """Run one frame, returning (bytecodes executed, total_cycles + 1)."""
     count = 0
 
@@ -52,13 +59,13 @@ def count_opcodes(pipeline, frame):
 
     sys.settrace(start)
     try:
-        _, stats = run_frame(pipeline, frame)
+        _, stats = run_frame(pipeline, frame, stalls)
     finally:
         sys.settrace(None)
     return count, stats.total_cycles + 1
 
 
-def count_collections(pipeline, frame):
+def count_collections(pipeline, frame, stalls):
     """Run one frame untraced, returning the GC collections it triggered."""
     count = 0
 
@@ -70,7 +77,7 @@ def count_collections(pipeline, frame):
     gc.collect()
     gc.callbacks.append(on_gc)
     try:
-        run_frame(pipeline, frame)
+        run_frame(pipeline, frame, stalls)
     finally:
         gc.callbacks.remove(on_gc)
     return count
@@ -85,6 +92,7 @@ def main(argv=None):
 
     width, height = args.width, args.height
     config = SobelConfig(width, height)
+    exact = SobelConfig(width, height, magnitude_mode="exact")
     rng = random.Random(args.seed)
     pixels = [(rng.randrange(256), rng.randrange(256), rng.randrange(256))
               for _ in range(width * height)]
@@ -95,11 +103,12 @@ def main(argv=None):
           f"Python {sys.version.split()[0]}")
     print(f"{'run':<16} {'bytecodes':>10} {'cycles':>8} {'per cycle':>10} {'gc runs':>8}")
     for variant in ("hdl", "hls"):
-        runs = (("full chain", build_pipeline(edge_chain(variant, config)), rgb),
-                ("core alone", build_pipeline([sobel_pe(variant, config)]), gray))
-        for label, pipeline, frame in runs:
-            count, cycles = count_opcodes(pipeline, frame)
-            collections = count_collections(pipeline, frame)
+        runs = (("full chain", build_pipeline(edge_chain(variant, config)), rgb, NO_STALLS),
+                ("core alone", build_pipeline([sobel_pe(variant, config)]), gray, NO_STALLS),
+                ("core stalled", build_pipeline([sobel_pe(variant, exact)]), gray, SINK_STALLS))
+        for label, pipeline, frame, stalls in runs:
+            count, cycles = count_opcodes(pipeline, frame, stalls)
+            collections = count_collections(pipeline, frame, stalls)
             print(f"{variant + ' ' + label:<16} {count:>10} {cycles:>8} "
                   f"{count / cycles:>10.1f} {collections:>8}")
     return 0

@@ -50,9 +50,11 @@ class LineBuffer:
     """One row of pixels modelled as a dual-port RAM of `depth` byte cells.
 
     The discipline check mirrors the physical part: at most one read and
-    one write per simulated cycle.  read() and write() take the caller's
-    cycle number `now`, a count from 0 that never repeats between resets,
-    and a second access of one kind in the same cycle is a ProtocolError.
+    one write per simulated cycle.  read(), write() and swap() take the
+    caller's cycle number `now`, a count from 0 that never repeats between
+    resets, and a second access of one kind in the same cycle is a
+    ProtocolError.  swap() is a read and a write of one cell, so it uses
+    both ports.
     """
 
     __slots__ = ("depth", "cells", "_read_at", "_write_at")
@@ -74,6 +76,18 @@ class LineBuffer:
             raise ProtocolError("second write on a single-write-port line buffer")
         self._write_at = now
         self.cells[col] = value
+
+    def swap(self, col: int, value: int, now: int) -> int:
+        """Read cell col and write value over it in one cycle; returns the old value."""
+        if now == self._read_at:
+            raise ProtocolError("second read on a single-read-port line buffer")
+        if now == self._write_at:
+            raise ProtocolError("second write on a single-write-port line buffer")
+        self._read_at = self._write_at = now
+        cells = self.cells
+        old = cells[col]
+        cells[col] = value
+        return old
 
     def reset(self):
         self.cells = bytearray(self.depth)
@@ -141,6 +155,8 @@ class SobelConfig:
 
 ZERO_WINDOW = (0,) * 9
 _BEATS, _LAST_BEATS = BYTE_BEATS  # BYTE_BEATS[flag] would index by a bool, which is slower
+# gray_frame's plain (data, last) pairs: a core unpacks a tuple faster than a Beat
+_PAIRS, _LAST_PAIRS = (tuple((d, last) for d in range(256)) for last in (False, True))
 
 
 class Rgb2GrayPE(ProcessingElement):
@@ -265,7 +281,7 @@ class SobelHdlPE(_SobelCore):
         super().reset()
         self._s1 = None  # (out_pos, pixel, row, col, above2, above1); pixel None = drain
         self._s2 = None  # (out_pos, window or None)
-        self._s3 = None  # (out_pos, beat)
+        self._s3 = None  # (out_pos, beat), only for out_pos >= 0
 
     def tick(self, pin, pout):
         now = self._tick = self._tick + 1
@@ -273,7 +289,7 @@ class SobelHdlPE(_SobelCore):
 
         # stage 4: emit the registered result; a blocked emit freezes the pipe
         s3 = self._s3
-        if s3 is not None and s3[0] >= 0:
+        if s3 is not None:
             if not pout.free:
                 return
             pout.put(s3[1])
@@ -287,7 +303,10 @@ class SobelHdlPE(_SobelCore):
         else:
             out_pos, win = s2
             if win is None:  # a border zero; only the final drained one is last
-                self._s3 = (out_pos, _LAST_BEATS[0] if out_pos == self._last else _BEATS[0])
+                if out_pos < 0:  # positions below 0 have no output
+                    self._s3 = None
+                else:
+                    self._s3 = (out_pos, _LAST_BEATS[0] if out_pos == self._last else _BEATS[0])
             else:
                 self._s3 = (out_pos, _BEATS[sobel_kernel(win, self._exact)])
                 if trace is not None:
@@ -343,8 +362,8 @@ class SobelHlsPE(_SobelCore):
     register chain of pipeline_depth (stage_count) stages to the output,
     standing in for whatever schedule a synthesis tool would have produced;
     the depth never changes the emitted bytes.  The chain is a deque of
-    stage_count - 1 (out_pos, beat) tokens: chain[0] emits, and appending
-    the next token pushes it out.
+    stage_count - 1 (out_pos, beat) tokens, None where no beat rides:
+    chain[0] emits, and appending the next token pushes it out.
 
     Assign a list to `trace` to record ("accept", t, index),
     ("fill", t, pixels_accepted) once, ("convolve", t, row, col) and
@@ -355,6 +374,8 @@ class SobelHlsPE(_SobelCore):
     row_rams = 3
 
     def __init__(self, config: SobelConfig, pipeline_depth: int = 6):
+        if not isinstance(pipeline_depth, int):
+            raise ValueError(f"pipeline depth must be an integer, got {pipeline_depth!r}")
         if pipeline_depth < 2:
             raise ValueError("pipeline depth must be at least 2")
         self.stage_count = pipeline_depth
@@ -371,7 +392,7 @@ class SobelHlsPE(_SobelCore):
 
         # emit the chain tail; a blocked emit freezes the whole loop
         tail = chain[0]
-        if tail is not None and tail[0] >= 0:
+        if tail is not None:
             if not pout.free:
                 return
             pout.put(tail[1])
@@ -388,25 +409,23 @@ class SobelHlsPE(_SobelCore):
                     raise self._length_error(idx)
                 row, col = divmod(idx, self._w)
                 top, mid, bot = self._lb
-                mid_old = mid.read(col, now)
-                bot_old = bot.read(col, now)
+                bot_old = bot.swap(col, pixel, now)
+                mid_old = mid.swap(col, bot_old, now)
                 top.write(col, mid_old, now)
-                mid.write(col, bot_old, now)
-                bot.write(col, pixel, now)
                 _, a1, a2, _, b1, b2, _, c1, c2 = self._window
                 win = self._window = (a1, a2, mid_old, b1, b2, bot_old, c1, c2, pixel)
                 self._in_idx = idx + 1
                 if trace is not None:
                     trace.append(("accept", now, idx))
+                out_pos = idx - self._w - 1
                 if row >= 2 and col >= 2:
-                    value = sobel_kernel(win, self._exact)
+                    token = (out_pos, _BEATS[sobel_kernel(win, self._exact)])
                     if trace is not None:
                         if idx == 2 * self._w + 2:  # the first full window
                             trace.append(("fill", now, idx + 1))
                         trace.append(("convolve", now, row - 1, col - 1))
-                else:
-                    value = 0
-                token = (idx - self._w - 1, _BEATS[value])
+                elif out_pos >= 0:  # a border zero; positions below 0 have no output
+                    token = (out_pos, _BEATS[0])
         elif idx < self._end:
             out_pos = idx - self._w - 1
             token = (out_pos, _LAST_BEATS[0] if out_pos == self._last else _BEATS[0])
@@ -456,13 +475,15 @@ def rgb_frame(image: RgbImage) -> list:
 
 
 def gray_frame(image: GrayImage) -> list:
-    """Flatten a GrayImage into 8-bit beats, shared from BYTE_BEATS; ValueError as gray_bytes."""
+    """Flatten a GrayImage into shared plain (data, last) pairs; ValueError as gray_bytes."""
     pixels = gray_bytes(image)
-    return [*map(_BEATS.__getitem__, pixels[:-1]), _LAST_BEATS[pixels[-1]]]
+    return [*map(_PAIRS.__getitem__, pixels[:-1]), _LAST_PAIRS[pixels[-1]]]
 
 
 def unpack_words(beats, byte_count: int) -> list:
     """Unpack 32-bit word beats back into their first byte_count bytes."""
+    if not isinstance(byte_count, int):
+        raise ValueError(f"byte count must be an integer, got {byte_count!r}")
     data = []
     try:
         data.extend(map(itemgetter(0), beats))

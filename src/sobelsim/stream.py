@@ -94,7 +94,9 @@ class Channel:
     at the start of every cycle (by run_frame, or by begin_cycle() when a
     channel is driven by hand), and each side may act at most once per
     cycle; the latch is cleared as the action happens, which makes a double
-    take or a put into an already-claimed slot a ProtocolError.
+    take or a put into an already-claimed slot a ProtocolError.  run_frame's
+    sink reads its queue before anything else acts, so the sink channel's
+    head stays None.
     """
 
     __slots__ = ("payload_width", "capacity", "_q", "head", "free", "moves")
@@ -102,6 +104,8 @@ class Channel:
     def __init__(self, payload_width: int, capacity: int = 2):
         if payload_width not in PAYLOAD_WIDTHS:
             raise ValueError(f"payload width must be one of {PAYLOAD_WIDTHS}")
+        if not isinstance(capacity, int):
+            raise ValueError(f"channel capacity must be an integer, got {capacity!r}")
         if capacity < 1:
             raise ValueError("channel capacity must be at least 1")
         self.payload_width = payload_width
@@ -271,20 +275,16 @@ def cycle_loop(frame, watchdog, probability, draw, $ticks, $channels):
 
     # the channels are empty after the reset, and so latched for cycle 0.
     # A channel is latched for the next cycle once its consumer has acted:
-    # its producer acted before, and nothing later in the cycle reads it
+    # its producer acted before, and nothing later in the cycle reads it.
+    # The sink acts first, while its queue is still the cycle-start view,
+    # so the sink channel latches only free, for the last element
     while True:
-        # run_frame range-checked the frame against this channel's width
-        if src_idx < frame_len and src.free:
-            src_q.append(frame[src_idx])
-            src.moves += 1
-            src_idx += 1
-
-$elements
+        snk.free = len(snk_q) < snk_capacity
         if draw is not None and draw() < probability:
             stall_cycles += 1
             stalled_at = cycle
-        elif snk.head is not None:
-            beat = snk.head
+        elif snk_q:
+            beat = snk_q[0]
             if type(beat) is not Beat:  # a plain pair from an element
                 beat = new_beat(Beat, beat)
             del snk_q[0]
@@ -293,8 +293,14 @@ $elements
             if first_output < 0:
                 first_output = cycle
             done = beat[1]
-        snk.head = snk_q[0] if snk_q else None
-        snk.free = len(snk_q) < snk_capacity
+
+        # run_frame range-checked the frame against this channel's width
+        if src_idx < frame_len and src.free:
+            src_q.append(frame[src_idx])
+            src.moves += 1
+            src_idx += 1
+
+$elements
         moves = $moves
 
         if moves != prev_moves:

@@ -126,6 +126,26 @@ class TestLineBuffer:
         lb.read(1, 1)  # each port is free again in the next cycle
         lb.write(1, 2, 2)
 
+    def test_swap_returns_the_old_cell_and_stores_the_new(self):
+        lb = LineBuffer(8)
+        lb.write(3, 7, 0)
+        assert lb.swap(3, 9, 1) == 7
+        assert lb.read(3, 2) == 9
+        assert lb.swap(4, 5, 3) == 0  # a swap frees both ports for the next cycle
+        lb.swap(4, 6, 4)
+
+    @pytest.mark.parametrize("port, message", [("read", "second read"), ("write", "second write")])
+    def test_swap_uses_both_ports(self, port, message):
+        def other(lb):
+            return lb.read(0, 0) if port == "read" else lb.write(0, 1, 0)
+
+        for first, second in ((other, lambda lb: lb.swap(1, 2, 0)),
+                              (lambda lb: lb.swap(1, 2, 0), other)):
+            lb = LineBuffer(8)
+            first(lb)
+            with pytest.raises(ProtocolError, match=message):
+                second(lb)
+
     def test_reset_clears_cells(self):
         lb = LineBuffer(4)
         lb.write(0, 9, 0)
@@ -273,6 +293,11 @@ class TestU8ToU32:
         # a negative count would slice bytes off the end of the words
         with pytest.raises(ValueError, match=f"cannot hold {byte_count} bytes"):
             unpack_words([Beat(1, True)], byte_count)
+
+    @pytest.mark.parametrize("byte_count", [1.5, 1.0, "1"])
+    def test_unpack_rejects_a_byte_count_that_is_not_an_integer(self, byte_count):
+        with pytest.raises(ValueError, match="byte count must be an integer"):
+            unpack_words([(1, True)], byte_count)
 
     @pytest.mark.parametrize("beat", [5, None, (), 1.5])
     def test_unpack_rejects_a_beat_that_is_not_a_pair(self, beat):
@@ -467,6 +492,11 @@ class TestSobelTiming:
             sobel_pe("hls", SobelConfig(3, 3), pipeline_depth=1)
         with pytest.raises(ValueError):
             sobel_pe("axi", SobelConfig(3, 3))
+
+    @pytest.mark.parametrize("depth", [2.5, 6.0, "6"])
+    def test_depth_that_is_not_an_integer_rejected(self, depth):
+        with pytest.raises(ValueError, match="pipeline depth must be an integer"):
+            sobel_pe("hls", SobelConfig(3, 3), depth)
 
 
 class TestFullChain:

@@ -104,6 +104,13 @@ class TestChannel:
         with pytest.raises(ValueError):
             Channel(8, capacity=0)
 
+    @pytest.mark.parametrize("capacity", [1.5, 2.0, "2"])
+    def test_capacity_that_is_not_an_integer_rejected(self, capacity):
+        with pytest.raises(ValueError, match="channel capacity must be an integer"):
+            Channel(8, capacity)
+        with pytest.raises(ValueError, match="channel capacity must be an integer"):
+            build_pipeline([PassThrough()], channel_capacity=capacity)
+
     def test_fifo_order_and_counters(self):
         ch = Channel(8, capacity=2)
         ch.begin_cycle()
@@ -276,7 +283,15 @@ class TestRunFrame:
         beats = gray_frame(image)
         final = len(image.pixels) - 1
         assert beats == [Beat(v, i == final) for i, v in enumerate(image.pixels)]
-        assert {(type(b), type(b.data), type(b.last)) for b in beats} == {(Beat, int, bool)}
+        assert {(type(b), type(b[0]), type(b[1])) for b in beats} == {(tuple, int, bool)}
+
+    @pytest.mark.parametrize("variant", ["hdl", "hls"])
+    def test_core_fed_a_gray_frame_returns_beats(self, variant):
+        image = random_gray(random.Random(9), 4, 3)
+        pipe = build_pipeline([sobel_pe(variant, SobelConfig(4, 3))])
+        beats, _ = run_frame(pipe, gray_frame(image))
+        assert [b.data for b in beats] == sobel_frame_reference(image).pixels
+        assert {type(b) for b in beats} == {Beat}
 
     def test_determinism_under_random_stalls(self):
         pipe = build_pipeline([RegisterStage()])
@@ -473,10 +488,40 @@ class TestCycleLoops:
         (6, 5, 'no beat moved for 97 cycles (watchdog 96, cycle 106, 0 beats received)'),
     ]
 
+    # the same at channel capacity 1, with the values the loop gave while the
+    # sink still acted last in each cycle: the last element must see the
+    # sink channel's cycle-start slot, not the one the sink frees
+    CAPACITY_ONE_RUNS = [
+        (1, 0b0, 0.0, 0, (18, 2, 9, 0)),
+        (1, 0b0, 0.5, 1, (38, 2, 9, 25)),
+        (1, 0b1, 0.0, 0, (19, 3, 9, 0)),
+        (1, 0b1, 0.5, 1, (40, 6, 9, 26)),
+        (2, 0b00, 0.0, 0, (19, 3, 9, 0)),
+        (2, 0b00, 0.5, 2, (32, 4, 9, 17)),
+        (2, 0b01, 0.0, 0, (20, 4, 9, 0)),
+        (2, 0b01, 0.5, 2, (32, 4, 9, 17)),
+        (2, 0b11, 0.0, 0, (21, 5, 9, 0)),
+        (2, 0b11, 0.5, 2, (34, 5, 9, 17)),
+        (3, 0b000, 0.0, 0, (20, 4, 9, 0)),
+        (3, 0b000, 0.5, 3, (22, 4, 9, 10)),
+        (3, 0b101, 0.0, 0, (22, 6, 9, 0)),
+        (3, 0b101, 0.5, 3, (26, 7, 9, 12)),
+        (3, 0b111, 0.0, 0, (23, 7, 9, 0)),
+        (3, 0b111, 0.5, 3, (26, 7, 9, 12)),
+    ]
+
     @pytest.mark.parametrize("n, mask, probability, seed, expected", RUNS)
     def test_results_match_the_generic_loop(self, n, mask, probability, seed, expected):
+        self.check_run(n, mask, probability, seed, expected, capacity=2)
+
+    @pytest.mark.parametrize("n, mask, probability, seed, expected", CAPACITY_ONE_RUNS)
+    def test_capacity_one_results_match(self, n, mask, probability, seed, expected):
+        self.check_run(n, mask, probability, seed, expected, capacity=1)
+
+    @staticmethod
+    def check_run(n, mask, probability, seed, expected, capacity):
         elements = [RegisterStage() if mask >> i & 1 else PassThrough() for i in range(n)]
-        pipe = build_pipeline(elements)
+        pipe = build_pipeline(elements, capacity)
         patched = elements[n // 2]
         class_tick = patched.tick
         calls = []
