@@ -484,6 +484,8 @@ def unpack_words(beats, byte_count: int) -> list:
     """Unpack 32-bit word beats back into their first byte_count bytes."""
     if not isinstance(byte_count, int):
         raise ValueError(f"byte count must be an integer, got {byte_count!r}")
+    if not isinstance(beats, (list, tuple)):  # the errors below index it
+        beats = list(beats)
     data = []
     try:
         data.extend(map(itemgetter(0), beats))

@@ -122,9 +122,10 @@ class WorkerError(ChildProcessError):
 
 
 def _use_workers(pipelines) -> bool:
-    """Whether each pipeline may run in a forked worker: this process may use
-    two or more CPUs and runs one thread, and no element has a tick patched
-    on the instance (a hook that counts ticks must see them in this process)."""
+    """Whether `_run_each` may fork a worker for the hls pipeline while hdl
+    runs in this process: this process may use two or more CPUs and runs
+    one thread, and no element of either pipeline has a tick patched on the
+    instance (a hook that counts ticks must see them in this process)."""
     if not hasattr(os, "fork"):
         return False
     try:
@@ -158,74 +159,58 @@ def _worker(write_fd, mask, pipeline, args):
         os._exit(status)
 
 
-def _fork_each(pipelines, args):
-    """Run _run_core(pipeline, *args) for each pipeline in its own forked
-    worker and reap them all; returns their (ok, result or exception), or
-    None if there is no room for another pipe or process (EMFILE, EAGAIN,
-    ENOMEM), once every worker that did start is killed and reaped."""
-    import pickle
-    import signal
-
-    pids, fds, payloads = [], [], None
-    try:
-        for pipeline in pipelines:
-            read_fd, write_fd = os.pipe()
-            fds.append(read_fd)
-            # a SIGINT before the worker's try would unwind into this frame;
-            # one that arrives during the fork is raised when the mask is
-            # restored, after the pid is recorded and the write end closed
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _worker(write_fd, mask, pipeline, args)
-                pids.append(pid)
-            finally:
-                os.close(write_fd)  # so that a worker that dies gives EOF
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        payloads = []
-        for fd in fds:
-            with open(fd, "rb", closefd=False) as fh:
-                payloads.append(fh.read())
-    except OSError:
-        if payloads is not None:
-            raise
-    finally:
-        if payloads is None or len(payloads) < len(fds):
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-        for fd in fds:
-            os.close(fd)
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    if payloads is None:
-        return None
-    return [pickle.loads(payload) if code == 0 else
-            (False, WorkerError(f"a simulation worker ended with exit status {code} "
-                                f"and no result"))
-            for payload, code in zip(payloads, codes)]
-
-
-def _unwrap(outcome):
-    ok, value = outcome
-    if not ok:
-        raise value
-    return value
-
-
 def _run_each(pipelines, *args):
-    """_run_core(pipeline, *args) for each pipeline, as an iterator over the
-    results in order that raises the first call's error when it reaches it.
+    """(hdl result, hls result) of _run_core(pipeline, *args) for the two
+    pipelines, raising hdl's error first.
 
-    Each call runs in its own forked worker where `_use_workers` allows
-    and `_fork_each` can start them, and otherwise in this process when the iterator reaches it, so that the
-    calls after a failed one never run; results, errors and their order
-    are the same on both paths.
+    Where `_use_workers` allows, hls runs in one forked worker while hdl
+    runs in this process; an error in hdl stops the worker, and a worker
+    that ends without sending its result raises WorkerError.  Otherwise,
+    or with no room for a pipe or a process (EMFILE, EAGAIN, ENOMEM), both
+    run here, hdl first, so that hls never runs after a failed hdl.
     """
-    if _use_workers(pipelines):
-        outcomes = _fork_each(pipelines, args)
-        if outcomes is not None:
-            return map(_unwrap, outcomes)
-    return (_run_core(pipeline, *args) for pipeline in pipelines)
+    hdl, hls = pipelines
+    pid = read_fd = payload = None
+    try:
+        if _use_workers(pipelines):
+            import pickle
+            import signal
+
+            try:
+                read_fd, write_fd = os.pipe()
+                # a SIGINT before the worker's try would unwind into this
+                # frame; one that arrives during the fork is raised when the
+                # mask is restored, after the pid is recorded and the write
+                # end closed
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _worker(write_fd, mask, hls, args)
+                finally:
+                    os.close(write_fd)  # so that a worker that dies gives EOF
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            except OSError:  # no room for a pipe or a process
+                pass
+        hdl_result = _run_core(hdl, *args)
+        if pid is None:
+            return hdl_result, _run_core(hls, *args)
+        with open(read_fd, "rb", closefd=False) as fh:
+            payload = fh.read()
+    finally:
+        if read_fd is not None:
+            os.close(read_fd)
+        if pid is not None:
+            if payload is None:
+                os.kill(pid, signal.SIGKILL)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise WorkerError(f"a simulation worker ended with exit status {code} "
+                          f"and no result")
+    ok, hls_result = pickle.loads(payload)
+    if not ok:
+        raise hls_result
+    return hdl_result, hls_result
 
 
 def cmd_process(args) -> int:

@@ -67,7 +67,12 @@ class StallModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.probability <= 1.0:
+        try:
+            in_range = 0.0 <= self.probability <= 1.0
+        except TypeError:
+            raise ValueError(f"stall probability must be a real number, "
+                             f"got {self.probability!r}") from None
+        if not in_range:
             raise ValueError("stall probability must be within [0, 1]")
 
 
@@ -198,7 +203,7 @@ class Pipeline:
         self.channels = list(channels)
         self.wiring = list(zip(self.elements, self.channels[:-1], self.channels[1:]))
         self.stage_count = sum(pe.stage_count for pe in self.elements)
-        _cycle_loop(len(self.wiring))  # compiled here, so forked workers inherit it
+        _cycle_loop(len(self.wiring))  # compiled here, so a forked worker inherits it
 
     def reset(self):
         for ch in self.channels:
@@ -367,6 +372,8 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
     _validate_frame(frame, pipeline.channels[0].payload_width)
     if watchdog is None:
         watchdog = 10 * len(frame) + pipeline.stage_count
+    elif not isinstance(watchdog, int) or watchdog < 0:
+        raise ValueError(f"watchdog must be a non-negative integer, got {watchdog!r}")
 
     # bound after the reset, so that a tick patched onto an instance is seen
     ticks = [pe.tick for pe, _, _ in pipeline.wiring]

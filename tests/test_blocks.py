@@ -308,6 +308,11 @@ class TestU8ToU32:
         with pytest.raises(ValueError, match=message):
             unpack_words([Beat(1), (2, False), beat, 7], 12)
 
+    def test_unpack_takes_an_iterator(self):
+        assert unpack_words(iter([(0x04030201, False), (5, True)]), 5) == [1, 2, 3, 4, 5]
+        with pytest.raises(ValueError, match=r"word beat 5 is not a \(data, last\) pair"):
+            unpack_words(iter([(1, True), 5]), 4)
+
 
 class TestSobelCores:
     @pytest.mark.parametrize("variant", VARIANTS)

@@ -271,9 +271,9 @@ def on_one_cpu(monkeypatch):
 
 @pytest.fixture(params=["real_affinity", "one_cpu"])
 def affinity(request, monkeypatch):
-    """Runs a test with this process's real CPU affinity, where compare and
-    bench fork a worker per core if it holds two or more CPUs, and with an
-    affinity of one CPU, where they run each core in this process."""
+    """Runs a test with this process's real CPU affinity, where compare
+    forks one worker for hls if it holds two or more CPUs, and with an
+    affinity of one CPU, where it runs both cores in this process."""
     if request.param == "one_cpu":
         on_one_cpu(monkeypatch)
     return request.param
@@ -354,25 +354,61 @@ class TestWorkers:
 
     def test_worker_that_exits_raises_the_declared_error(self, tmp_path, capsys,
                                                           monkeypatch, affinity):
-        parent = os.getpid()
+        parent, run_core = os.getpid(), cli._run_core
 
-        def exiting_core(pipeline, rgb, width, height, stalls):
+        def exiting_core(*args):
             if os.getpid() != parent:
                 os._exit(3)
-            raise ValueError("ran in this process")
+            return run_core(*args)
 
         monkeypatch.setattr(cli, "_run_core", exiting_core)
-        forks = len(os.sched_getaffinity(0)) >= 2
-        want = ("a simulation worker ended with exit status 3 and no result" if forks
-                else "ran in this process")
+        if len(os.sched_getaffinity(0)) < 2:  # no worker, so both cores run here
+            assert main_reaped(compare_args(tmp_path)) == 0
+            return
+        want = "a simulation worker ended with exit status 3 and no result"
         assert main_reaped(compare_args(tmp_path)) == 1
         assert capsys.readouterr().err == f"sobelsim: error: {want}\n"
         pipelines = [build_pipeline(edge_chain(v, SobelConfig(3, 3))) for v in ("hdl", "hls")]
-        results = cli._run_each(pipelines, b"", 3, 3, None)
-        with pytest.raises(cli.WorkerError if forks else ValueError, match=want):
-            list(results)
+        with pytest.raises(cli.WorkerError, match=want):
+            cli._run_each(pipelines, bytes(range(27)), 3, 3, StallModel())
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_hdl_error_does_not_wait_for_hls(self, tmp_path, capsys, monkeypatch, affinity):
+        def core(pipeline, rgb, width, height, stalls):
+            if pipeline.elements[1].name == "sobel_hdl":
+                raise ValueError("hdl core failed")
+            time.sleep(30)
+
+        monkeypatch.setattr(cli, "_run_core", core)
+        start = time.monotonic()
+        assert main_reaped(compare_args(tmp_path)) == 1
+        assert time.monotonic() - start < 10  # the worker was stopped, not awaited
+        assert capsys.readouterr().err == "sobelsim: error: hdl core failed\n"
+
+    def test_hls_runs_in_the_one_worker_and_hdl_here(self, tmp_path, monkeypatch):
+        fork, forked = os.fork, []
+
+        def recorded_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        run_core, log = cli._run_core, tmp_path / "pids"
+
+        def logged_core(pipeline, *args):
+            with open(log, "a") as fh:  # each process appends its own line
+                fh.write(f"{pipeline.elements[1].name} {os.getpid()}\n")
+            return run_core(pipeline, *args)
+
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "_run_core", logged_core)
+        assert main_reaped(compare_args(tmp_path)) == 0
+        assert len(forked) == 1
+        pids = dict(line.split() for line in log.read_text().splitlines())
+        assert pids == {"sobel_hdl": str(os.getpid()), "sobel_hls": str(forked[0])}
 
     def test_interrupt_reaps_the_workers(self, tmp_path, monkeypatch, affinity, alarm):
         def slow_core(pipeline, rgb, width, height, stalls):
@@ -414,16 +450,15 @@ class TestWorkers:
             with pytest.raises(OSError):
                 os.fstat(fd)
 
-    @pytest.mark.parametrize("forks_before_failing", [0, 1], ids=["first", "second"])
+    @pytest.mark.parametrize("call,error", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)],
+                             ids=["fork", "pipe"])
     def test_no_room_for_a_worker_runs_each_core_here(self, tmp_path, capsys, monkeypatch,
-                                                      forks_before_failing):
-        fork, forked, here = os.fork, [], []
+                                                      call, error):
+        calls, here = [], []
 
-        def limited_fork():
-            if len(forked) == forks_before_failing:
-                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-            forked.append(1)
-            return fork()
+        def no_room():
+            calls.append(call)
+            raise OSError(error, os.strerror(error))
 
         run_core, parent = cli._run_core, os.getpid()
 
@@ -441,14 +476,14 @@ class TestWorkers:
                     on_one_cpu(patch)
                 else:
                     patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-                    patch.setattr(os, "fork", limited_fork)
+                    patch.setattr(os, call, no_room)
                     patch.setattr(cli, "_run_core", counted_core)
                 rc = main_reaped(compare_args(out, "--stall-prob", "0.2", "--seed", "4"))
             files = {f.name: f.read_bytes() for f in out.iterdir()}
             outcomes.append((rc, capsys.readouterr().err, files))
         assert outcomes[0][0] == 0
         assert outcomes[0] == outcomes[1]
-        assert len(forked) == forks_before_failing and len(here) == 2
+        assert calls == [call] and len(here) == 2
 
     def test_patched_tick_runs_in_this_process(self, tmp_path, monkeypatch, affinity):
         ticks = {"hdl": 0, "hls": 0}

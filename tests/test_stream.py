@@ -23,6 +23,7 @@ from sobelsim import (
     GrayImage,
     ProcessingElement,
     ProtocolError,
+    RgbImage,
     SobelConfig,
     StallModel,
     WidthMismatchError,
@@ -337,6 +338,12 @@ class TestRunFrame:
         with pytest.raises(ValueError):
             StallModel(-0.1)
 
+    @pytest.mark.parametrize("probability", ["0.5", None, 1j])
+    def test_stall_probability_must_be_a_real_number(self, probability):
+        message = rf"stall probability must be a real number, got {re.escape(repr(probability))}"
+        with pytest.raises(ValueError, match=message):
+            StallModel(probability)
+
     def test_stuck_element_deadlocks(self):
         pipe = build_pipeline([NeverConsumes()])
         with pytest.raises(DeadlockError):
@@ -352,6 +359,17 @@ class TestRunFrame:
         with pytest.raises(DeadlockError) as err:
             run_frame(pipe, byte_frame([1] * 4), watchdog=5)
         assert "watchdog 5" in str(err.value)
+
+    @pytest.mark.parametrize("watchdog", [-1, -100, 1.5, 5.0, "5"])
+    def test_watchdog_must_be_a_non_negative_integer(self, watchdog):
+        # a live 3x3 hls depth-9 chain: watchdog=-1 used to pass the
+        # settings and end in a DeadlockError while beats still moved
+        chain = build_pipeline(edge_chain("hls", SobelConfig(3, 3), 9))
+        frame = rgb_frame(RgbImage(3, 3, [(v, v, v) for v in range(9)]))
+        message = rf"watchdog must be a non-negative integer, got {re.escape(repr(watchdog))}"
+        with pytest.raises(ValueError, match=message):
+            run_frame(chain, frame, watchdog=watchdog)
+        assert run_frame(chain, frame)[1].output_beats == 3
 
     def test_watchdog_counts_moves_inside_the_pipeline(self):
         # nothing reaches the sink channel until the whole frame is in, but
