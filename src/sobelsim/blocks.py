@@ -60,6 +60,8 @@ class LineBuffer:
     __slots__ = ("depth", "cells", "_read_at", "_write_at")
 
     def __init__(self, depth: int):
+        if not isinstance(depth, int):
+            raise ValueError(f"line buffer depth must be an integer, got {depth!r}")
         if depth < 3:
             raise ValueError("line buffer depth must be at least 3")
         self.depth = depth
@@ -155,8 +157,6 @@ class SobelConfig:
 
 ZERO_WINDOW = (0,) * 9
 _BEATS, _LAST_BEATS = BYTE_BEATS  # BYTE_BEATS[flag] would index by a bool, which is slower
-# gray_frame's plain (data, last) pairs: a core unpacks a tuple faster than a Beat
-_PAIRS, _LAST_PAIRS = (tuple((d, last) for d in range(256)) for last in (False, True))
 
 
 class Rgb2GrayPE(ProcessingElement):
@@ -454,8 +454,8 @@ def edge_chain(variant: str, config: SobelConfig, pipeline_depth: int = 6) -> li
 # ---- frame packing helpers ----------------------------------------------
 
 
-def rgb_bytes_frame(rgb) -> list:
-    """24-bit (word, last) pairs, (r << 16) | (g << 8) | b, of r, g, b bytes in raster order.
+def rgb_bytes_frame(rgb) -> tuple:
+    """24-bit payloads, (r << 16) | (g << 8) | b, of r, g, b bytes in raster order.
 
     Raises ValueError unless rgb holds a whole, non-zero number of triples.
     """
@@ -464,20 +464,17 @@ def rgb_bytes_frame(rgb) -> list:
         raise ValueError(f"RGB bytes must hold whole (r, g, b) triples, got {len(rgb)} bytes")
     words = bytearray(4 * count)  # little-endian words: b, g, r, 0
     words[2::4], words[1::4], words[0::4] = rgb[0::3], rgb[1::3], rgb[2::3]
-    frame = list(zip(struct.unpack(f"<{count}I", words), repeat(False)))
-    frame[-1] = (frame[-1][0], True)
-    return frame
+    return struct.unpack(f"<{count}I", words)
 
 
-def rgb_frame(image: RgbImage) -> list:
+def rgb_frame(image: RgbImage) -> tuple:
     """rgb_bytes_frame of an RgbImage's channel bytes; ValueError as rgb_bytes."""
     return rgb_bytes_frame(rgb_bytes(image))
 
 
-def gray_frame(image: GrayImage) -> list:
-    """Flatten a GrayImage into shared plain (data, last) pairs; ValueError as gray_bytes."""
-    pixels = gray_bytes(image)
-    return [*map(_PAIRS.__getitem__, pixels[:-1]), _LAST_PAIRS[pixels[-1]]]
+def gray_frame(image: GrayImage) -> bytes:
+    """A GrayImage's 8-bit payloads, which are its gray_bytes; ValueError as gray_bytes."""
+    return gray_bytes(image)
 
 
 def unpack_words(beats, byte_count: int) -> list:

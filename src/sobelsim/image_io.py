@@ -32,6 +32,13 @@ class DimensionMismatchError(ValueError):
     """Two images were compared that do not share a geometry."""
 
 
+def _check_dimensions(width, height):
+    if not (isinstance(width, int) and isinstance(height, int)):
+        raise ValueError(f"image dimensions must be integers, got {width!r}x{height!r}")
+    if width < 1 or height < 1:
+        raise ValueError("image dimensions must be positive")
+
+
 @dataclass
 class _Raster:
     width: int
@@ -39,8 +46,7 @@ class _Raster:
     pixels: list  # one entry per pixel, len == width * height
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be positive")
+        _check_dimensions(self.width, self.height)
         if len(self.pixels) != self.width * self.height:
             raise ValueError(
                 f"expected {self.width * self.height} pixels, got {len(self.pixels)}"
@@ -145,10 +151,10 @@ def read_bmp(data: bytes) -> RgbImage:
 def encode_bmp(width: int, height: int, rgb) -> bytes:
     """Encode r, g, b bytes in top-to-bottom raster order as a bottom-up 24-bpp BMP.
 
-    ValueError unless both dimensions are positive and rgb holds 3 * width * height bytes.
+    ValueError unless both dimensions are positive integers and rgb holds
+    3 * width * height bytes.
     """
-    if width < 1 or height < 1:
-        raise ValueError("image dimensions must be positive")
+    _check_dimensions(width, height)
     row_bytes = 3 * width
     if len(rgb) != row_bytes * height:
         raise ValueError(f"expected {row_bytes * height} RGB bytes, got {len(rgb)}")

@@ -26,7 +26,7 @@ class Beat(NamedTuple):
 
     Elements hand each other (data, last) pairs, plain tuples or the shared
     8-bit Beats of BYTE_BEATS, so no hop runs the NamedTuple constructor.
-    A frame may hold either; the beats run_frame returns are Beats.
+    A frame holds payloads only; the beats run_frame returns are Beats.
     """
 
     data: int
@@ -107,7 +107,7 @@ class Channel:
     __slots__ = ("payload_width", "capacity", "_q", "head", "free", "moves")
 
     def __init__(self, payload_width: int, capacity: int = 2):
-        if payload_width not in PAYLOAD_WIDTHS:
+        if not isinstance(payload_width, int) or payload_width not in PAYLOAD_WIDTHS:
             raise ValueError(f"payload width must be one of {PAYLOAD_WIDTHS}")
         if not isinstance(capacity, int):
             raise ValueError(f"channel capacity must be an integer, got {capacity!r}")
@@ -232,30 +232,12 @@ def build_pipeline(elements, channel_capacity: int = 2) -> Pipeline:
 def _validate_frame(frame, payload_width: int):
     if not frame:
         raise ValueError("frame must contain at least one beat")
-    final = len(frame) - 1
-    early_last = False
-    bad = None  # the message for the first payload out of range or not an integer
-    # one pass; a range error still wins over a misplaced last flag.  The
-    # index, not the beat, tells the final beat: a frame may repeat a Beat
-    try:
-        for i, (data, last) in enumerate(frame):
-            try:
-                if data >> payload_width:
-                    bad = f"frame beat {data:#x} exceeds {payload_width}-bit payload"
-                    break
-            except TypeError:
-                bad = f"frame beat {data!r} is not an integer"
-                break
-            if last and i != final:
-                early_last = True
-    except (TypeError, ValueError):  # frame[i] did not unpack into two
-        raise ValueError(f"frame beat {frame[i]!r} is not a (data, last) pair") from None
-    if bad is not None:
-        raise ValueError(bad)
-    if early_last:
-        raise ValueError("last flag set before the final beat")
-    if not frame[-1][1]:
-        raise ValueError("final beat must carry the last flag")
+    for data in frame:  # the first bad payload in frame order is named
+        try:
+            if data >> payload_width:  # nonzero for x < 0 and x >= 2**width
+                raise ValueError(f"frame beat {data:#x} exceeds {payload_width}-bit payload")
+        except TypeError:
+            raise ValueError(f"frame beat {data!r} is not an integer") from None
 
 
 # run_frame's cycle loop for n elements.  _cycle_loop puts one _ELEMENT per
@@ -268,7 +250,7 @@ def cycle_loop(frame, watchdog, probability, draw, $ticks, $channels):
 
     received = []
     receive = received.append
-    frame_len = len(frame)
+    final = len(frame) - 1
     src_idx = 0
     cycle = 0
     stall_cycles = 0
@@ -299,9 +281,10 @@ def cycle_loop(frame, watchdog, probability, draw, $ticks, $channels):
                 first_output = cycle
             done = beat[1]
 
-        # run_frame range-checked the frame against this channel's width
-        if src_idx < frame_len and src.free:
-            src_q.append(frame[src_idx])
+        # run_frame range-checked the frame against this channel's width.
+        # The source raises last on the final beat, as a DMA engine does
+        if src_idx <= final and src.free:
+            src_q.append((frame[src_idx], src_idx == final))
             src.moves += 1
             src_idx += 1
 
@@ -356,10 +339,12 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
               watchdog: Optional[int] = None):
     """Drive one frame through a pipeline and collect the sink's beats.
 
-    The frame is offered beat by beat at the head channel; the sink pops
-    whatever reaches the tail channel whenever the stall model leaves ready
-    asserted.  Returns (received beats, CycleStats).  The pipeline is reset
-    first, so the same object can run any number of frames.
+    The frame is a sequence of payload integers, such as a list or bytes.
+    The source offers it beat by beat at the head channel and raises last
+    on the final beat; the sink pops whatever reaches the tail channel
+    whenever the stall model leaves ready asserted.  Returns (received
+    beats, CycleStats).  The pipeline is reset first, so the same object
+    can run any number of frames.
 
     The run aborts with DeadlockError if no channel moves a beat for more
     than `watchdog` consecutive cycles (default: 10x the frame length plus

@@ -8,6 +8,7 @@ Latency facts are pinned through the cores' event traces.
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,12 @@ class TestLineBuffer:
         with pytest.raises(ValueError):
             LineBuffer(2)
 
+    @pytest.mark.parametrize("depth", [3.0, 2.5, "3", None])
+    def test_depth_that_is_not_an_integer_rejected(self, depth):
+        message = f"line buffer depth must be an integer, got {re.escape(repr(depth))}"
+        with pytest.raises(ValueError, match=message):
+            LineBuffer(depth)
+
     def test_read_write_cells(self):
         lb = LineBuffer(8)
         lb.write(5, 200, 0)
@@ -203,7 +210,7 @@ class TestSobelConfig:
 class TestRgb2Gray:
     def test_hand_computed_mean(self):
         pipe = build_pipeline([Rgb2GrayPE()])
-        frame = [Beat((10 << 16) | (20 << 8) | 31, True)]
+        frame = [(10 << 16) | (20 << 8) | 31]
         beats, _ = run_frame(pipe, frame)
         assert beats == [Beat(20, True)]
 
@@ -225,7 +232,7 @@ class TestRgb2Gray:
     def test_rgb_frame_rejects_out_of_range_channels(self):
         # a channel of 256 used to alias into its neighbour: (0, 256, 0)
         # packed to the same word as (1, 0, 0)
-        assert rgb_frame(RgbImage(1, 1, [(1, 0, 0)])) == [Beat(65536, True)]
+        assert rgb_frame(RgbImage(1, 1, [(1, 0, 0)])) == (65536,)
         for pixel in ((0, 256, 0), (0, 0, -1), (1, 2), (1.5, 0, 0), (0, "1", 0)):
             with pytest.raises(ValueError):
                 rgb_frame(RgbImage(1, 1, [pixel]))
@@ -234,10 +241,22 @@ class TestRgb2Gray:
         img = random_rgb(random.Random(4), 5, 3)
         frame = rgb_bytes_frame(rgb_bytes(img))
         assert frame == rgb_frame(img)
-        assert frame == [((r << 16) | (g << 8) | b, i == 14) for i, (r, g, b) in enumerate(img.pixels)]
-        # exact tuples, which an element unpacks faster than a Beat
-        assert {(type(f), type(f[0]), type(f[1])) for f in frame} == {(tuple, int, bool)}
-        assert rgb_bytes_frame(bytearray(b"\x01\x02\x03")) == [(0x010203, True)]
+        assert frame == tuple((r << 16) | (g << 8) | b for r, g, b in img.pixels)
+        # the payloads alone, as plain ints; the source raises last
+        assert type(frame) is tuple and {type(f) for f in frame} == {int}
+        assert rgb_bytes_frame(bytearray(b"\x01\x02\x03")) == (0x010203,)
+
+    def test_rgb_bytes_frame_memory_at_256_squared(self):
+        # one int per pixel in one tuple, about 36 B a pixel
+        rgb = random.Random(5).randbytes(3 * 256 * 256)
+        tracemalloc.start()
+        try:
+            frame = rgb_bytes_frame(rgb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(frame) == 256 * 256
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("size", [0, 1, 2, 4, 5, 7])
     def test_rgb_bytes_frame_rejects_partial_triples(self, size):
@@ -258,13 +277,13 @@ class TestRgb2Gray:
 class TestU8ToU32:
     def test_first_byte_is_least_significant(self):
         pipe = build_pipeline([U8ToU32PE()])
-        frame = [Beat(1), Beat(2), Beat(3), Beat(4, True)]
+        frame = [1, 2, 3, 4]
         beats, _ = run_frame(pipe, frame)
         assert beats == [Beat(0x04030201, True)]
 
     def test_short_tail_is_zero_padded(self):
         pipe = build_pipeline([U8ToU32PE()])
-        frame = [Beat(0xAA), Beat(0xBB), Beat(0xCC), Beat(0xDD), Beat(0xEE, True)]
+        frame = [0xAA, 0xBB, 0xCC, 0xDD, 0xEE]
         beats, _ = run_frame(pipe, frame)
         assert [b.data for b in beats] == [0xDDCCBBAA, 0x000000EE]
         assert [b.last for b in beats] == [False, True]
@@ -273,8 +292,7 @@ class TestU8ToU32:
     @settings(max_examples=40, deadline=None)
     def test_word_count_and_reassembly(self, data):
         pipe = build_pipeline([U8ToU32PE()])
-        frame = [Beat(v, i == len(data) - 1) for i, v in enumerate(data)]
-        beats, stats = run_frame(pipe, frame)
+        beats, stats = run_frame(pipe, data)
         assert stats.output_beats == (len(data) + 3) // 4
         assert unpack_words(beats, len(data)) == data
         assert [b.last for b in beats].count(True) == 1
@@ -362,7 +380,7 @@ class TestSobelCores:
     def test_wrong_frame_length_raises(self, variant):
         config = SobelConfig(4, 4)
         pipe = build_pipeline([sobel_pe(variant, config)])
-        short = [Beat(1, i == 11) for i in range(12)]  # last flag 4 beats early
+        short = [1] * 12  # last flag 4 beats early
         with pytest.raises(ConfigMismatchError):
             run_frame(pipe, short)
 

@@ -7,6 +7,7 @@ decoder bug.
 
 import math
 import random
+import re
 import struct
 from collections import Counter
 
@@ -173,6 +174,18 @@ class TestEncode:
         with pytest.raises(ValueError, match="dimensions must be positive"):
             encode_bmp(width, height, b"")
 
+    @pytest.mark.parametrize("width,height", [(3.0, 3), (3, 3.0), ("3", 3), (3, None)])
+    def test_encode_rejects_a_dimension_that_is_not_an_integer(self, width, height):
+        message = re.escape(f"image dimensions must be integers, got {width!r}x{height!r}")
+        with pytest.raises(ValueError, match=message):
+            encode_bmp(width, height, bytes(27))
+
+    def test_write_rejects_an_image_whose_dimension_is_not_an_integer(self):
+        img = RgbImage(3, 3, [(1, 2, 3)] * 9)
+        img.width = 3.0  # an image is a plain dataclass; its fields can be set
+        with pytest.raises(ValueError, match=r"image dimensions must be integers, got 3\.0x3"):
+            write_bmp(img)
+
 
 class TestMutationFuzz:
     """Seeded mutants of one small valid BMP: each decodes or raises a
@@ -259,6 +272,14 @@ class TestRasterTypes:
             RgbImage(w, h, [(0, 0, 0)] * n)
         with pytest.raises(ValueError):
             GrayImage(w, h, [0] * n)
+
+    @pytest.mark.parametrize("w,h", [(3.0, 3), (3, 3.0), ("3", 3), (3, None)])
+    def test_dimension_that_is_not_an_integer_rejected(self, w, h):
+        message = re.escape(f"image dimensions must be integers, got {w!r}x{h!r}")
+        with pytest.raises(ValueError, match=message):
+            RgbImage(w, h, [(0, 0, 0)] * 9)
+        with pytest.raises(ValueError, match=message):
+            GrayImage(w, h, [0] * 9)
 
     def test_gray_to_rgb_replicates(self):
         rgb = gray_to_rgb(GrayImage(2, 1, [0, 200]))

@@ -83,6 +83,12 @@ class TestSobelReference:
         with pytest.raises(TooSmallError):
             sobel_frame_reference(GrayImage(w, h, [0] * (w * h)))
 
+    @pytest.mark.parametrize("w,h", [(3.0, 3), (3, 3.0)])
+    def test_frame_whose_dimension_is_not_an_integer_is_rejected(self, w, h):
+        # the image refuses the geometry before the oracle's loops run
+        with pytest.raises(ValueError, match="image dimensions must be integers"):
+            sobel_frame_reference(GrayImage(w, h, [0] * 9))
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             sobel_frame_reference(GrayImage(3, 3, [0] * 9), "fast")

@@ -95,6 +95,11 @@ class NeverConsumes(ProcessingElement):
 
 
 def byte_frame(values):
+    return list(values)
+
+
+def beats_of(values):
+    """The Beats a lossless pipeline returns for a frame of these payloads."""
     return [Beat(v, i == len(values) - 1) for i, v in enumerate(values)]
 
 
@@ -104,6 +109,19 @@ class TestChannel:
             Channel(16)
         with pytest.raises(ValueError):
             Channel(8, capacity=0)
+
+    @pytest.mark.parametrize("width", [8.0, 24.0, "8", None])
+    def test_width_that_is_not_an_integer_rejected(self, width):
+        # 8.0 == 8, so a membership test alone would accept Channel(8.0)
+        with pytest.raises(ValueError, match=r"payload width must be one of \(8, 24, 32\)"):
+            Channel(width)
+
+    def test_element_width_that_is_not_an_integer_is_blamed(self):
+        # the element's width is blamed, before any frame is offered
+        pe = PassThrough()
+        pe.in_width = 8.0
+        with pytest.raises(ValueError, match=r"payload width must be one of \(8, 24, 32\)"):
+            build_pipeline([pe])
 
     @pytest.mark.parametrize("capacity", [1.5, 2.0, "2"])
     def test_capacity_that_is_not_an_integer_rejected(self, capacity):
@@ -203,7 +221,7 @@ class TestRunFrame:
     def test_identity_preserves_beats(self):
         frame = byte_frame(list(range(10)))
         beats, stats = run_frame(build_pipeline([PassThrough()]), frame)
-        assert beats == frame
+        assert beats == beats_of(frame)
         assert stats.output_beats == 10
         assert stats.first_output_cycle <= stats.total_cycles
 
@@ -222,41 +240,43 @@ class TestRunFrame:
 
     def test_frame_validation(self):
         pipe = build_pipeline([PassThrough()])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="frame must contain at least one beat"):
             run_frame(pipe, [])
-        with pytest.raises(ValueError):
-            run_frame(pipe, [Beat(1, True), Beat(2, True)])
-        with pytest.raises(ValueError):
-            run_frame(pipe, [Beat(1), Beat(2)])
-        with pytest.raises(ValueError):
-            run_frame(pipe, [Beat(300, True)])
-
-    def test_frame_of_plain_pairs_accepted(self):
-        # elements pass each other (data, last) tuples; a frame may be one
-        pipe = build_pipeline([PassThrough()])
-        beats, _ = run_frame(pipe, [(1, False), (2, True)])
-        assert beats == [Beat(1, False), Beat(2, True)]
-        with pytest.raises(ValueError, match="final beat must carry the last flag"):
-            run_frame(pipe, [(1, False), (2, False)])
+        with pytest.raises(ValueError, match="frame beat 0x12c exceeds 8-bit payload"):
+            run_frame(pipe, [300])
+        with pytest.raises(ValueError, match="frame beat -0x1 exceeds 8-bit payload"):
+            run_frame(pipe, [1, -1, 2])
+        # the first bad payload in frame order is named
+        with pytest.raises(ValueError, match="frame beat 0x12c exceeds 8-bit payload"):
+            run_frame(pipe, [300, 1.5])
+        with pytest.raises(ValueError, match="frame beat 1.5 is not an integer"):
+            run_frame(pipe, [1.5, 300])
 
     @pytest.mark.parametrize("data", [1.5, 2.0, "1", None])
     def test_non_integer_payload_rejected(self, data):
         pipe = build_pipeline([PassThrough()])
-        with pytest.raises(ValueError, match="is not an integer"):
-            run_frame(pipe, [Beat(1), Beat(data, True)])
+        with pytest.raises(ValueError, match=rf"frame beat {re.escape(repr(data))} is not an integer"):
+            run_frame(pipe, [1, data])
 
-    @pytest.mark.parametrize("beat", [5, None, (1, True, 0), (1,)])
-    def test_beat_that_is_not_a_pair_rejected(self, beat):
+    @pytest.mark.parametrize("beat", [(1, True), Beat(1, True)])
+    def test_frame_of_beats_rejected(self, beat):
+        # a frame holds payloads; the source, not the frame, raises last
         pipe = build_pipeline([PassThrough()])
-        message = rf"frame beat {re.escape(repr(beat))} is not a \(data, last\) pair"
-        with pytest.raises(ValueError, match=message):
-            run_frame(pipe, [Beat(1), beat, Beat(2, True)])
-        # beats are checked in frame order: an earlier bad payload wins,
-        # and a malformed beat wins over a misplaced last flag
-        with pytest.raises(ValueError, match="exceeds 8-bit payload"):
-            run_frame(pipe, [Beat(300), beat, Beat(2, True)])
-        with pytest.raises(ValueError, match=message):
-            run_frame(pipe, [Beat(1, True), beat, Beat(300, True)])
+        with pytest.raises(ValueError, match=rf"frame beat {re.escape(repr(beat))} is not an integer"):
+            run_frame(pipe, [beat])
+
+    @given(st.lists(st.integers(0, 255), min_size=1, max_size=40),
+           st.lists(st.booleans(), min_size=1, max_size=4),
+           st.integers(1, 3), st.floats(0.0, 0.9), st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_source_raises_last_on_the_final_beat(self, values, registers, capacity,
+                                                  probability, seed):
+        elements = [RegisterStage() if r else PassThrough() for r in registers]
+        pipe = build_pipeline(elements, capacity)
+        beats, _ = run_frame(pipe, values, StallModel(probability, seed))
+        assert beats == beats_of(values)
+        assert all(type(b) is Beat and type(b.last) is bool for b in beats)
+        assert all(len(ch) == 0 for ch in pipe.channels)
 
     def test_returned_beats_are_beats_with_plain_fields(self):
         # the benchmark and the README read b.data; == alone would pass a plain tuple
@@ -274,17 +294,12 @@ class TestRunFrame:
         words = [int.from_bytes(bytes(edges[k:k + 4]), "little") for k in range(0, 30, 4)]
         chain = build_pipeline(edge_chain("hdl", SobelConfig(6, 5, magnitude_mode="exact")))
         check(run_frame(chain, rgb_frame(rgb))[0], words, True)
-        pipe = build_pipeline([PassThrough()])
-        check(run_frame(pipe, [(3, False), (4, True)])[0], [3, 4], True)
-        # a frame's Beat comes back as it went in, last=1 and not True
-        check(run_frame(pipe, [Beat(5, 1)])[0], [5], 1)
+        check(run_frame(build_pipeline([PassThrough()]), [3, 4])[0], [3, 4], True)
 
     def test_gray_frame_beats(self):
         image = random_gray(random.Random(9), 4, 3)
-        beats = gray_frame(image)
-        final = len(image.pixels) - 1
-        assert beats == [Beat(v, i == final) for i, v in enumerate(image.pixels)]
-        assert {(type(b), type(b[0]), type(b[1])) for b in beats} == {(tuple, int, bool)}
+        frame = gray_frame(image)
+        assert type(frame) is bytes and frame == bytes(image.pixels)
 
     @pytest.mark.parametrize("variant", ["hdl", "hls"])
     def test_core_fed_a_gray_frame_returns_beats(self, variant):
@@ -550,7 +565,7 @@ class TestCycleLoops:
 
         patched.tick = counted_tick
         beats, stats = run_frame(pipe, LOOP_FRAME, StallModel(probability, seed))
-        assert beats == LOOP_FRAME and all(type(b) is Beat for b in beats)
+        assert beats == beats_of(LOOP_FRAME) and all(type(b) is Beat for b in beats)
         assert stats == CycleStats(*expected)
         assert len(calls) == stats.total_cycles + 1
         assert [(ch.pushed, ch.popped, len(ch)) for ch in pipe.channels] == [(9, 9, 0)] * (n + 1)
