@@ -6,14 +6,15 @@ through the full chain (RGB frame: grayscale -> core -> word packer) and
 once through the core alone (gray frame), and a third time through the
 core alone in exact mode with the sink stalling at p=0.5 (seed 7), the
 shape of the stall_core benchmark.  It counts every bytecode executed
-inside run_frame with sys.settrace and f_trace_opcodes.  The
-count is divided by the run's cycles, total_cycles + 1.  Frame building
-and pipeline construction are outside the count.  A second, untraced run
-of each row counts the cyclic garbage collections it triggers (after a
-gc.collect(), through gc.callbacks); allocation churn shows there and not
-in the bytecodes.  Both figures repeat exactly for a given Python version
-and seed, so they compare two versions of the program without the noise
-of host timings.
+inside run_frame with sys.settrace and f_trace_opcodes, and the
+Python-level calls the same tracer sees ("call" events, run_frame's own
+included).  Both counts are divided by the run's cycles,
+total_cycles + 1.  Frame building and pipeline construction are outside
+the count.  A second, untraced run of each row counts the cyclic garbage
+collections it triggers (after a gc.collect(), through gc.callbacks);
+allocation churn shows there and not in the bytecodes.  All three
+figures repeat exactly for a given Python version and seed, so they
+compare two versions of the program without the noise of host timings.
 
 Example:
     python scripts/count_bytecodes.py                 # 32x32, seed 1
@@ -44,8 +45,8 @@ SINK_STALLS = StallModel(0.5, seed=7)
 
 
 def count_opcodes(pipeline, frame, stalls):
-    """Run one frame, returning (bytecodes executed, total_cycles + 1)."""
-    count = 0
+    """Run one frame, returning (bytecodes executed, calls, total_cycles + 1)."""
+    count = calls = 0
 
     def local(frame_, event, arg):
         nonlocal count
@@ -54,6 +55,8 @@ def count_opcodes(pipeline, frame, stalls):
         return local
 
     def start(frame_, event, arg):
+        nonlocal calls
+        calls += 1
         frame_.f_trace_opcodes = True
         return local
 
@@ -62,7 +65,7 @@ def count_opcodes(pipeline, frame, stalls):
         _, stats = run_frame(pipeline, frame, stalls)
     finally:
         sys.settrace(None)
-    return count, stats.total_cycles + 1
+    return count, calls, stats.total_cycles + 1
 
 
 def count_collections(pipeline, frame, stalls):
@@ -101,16 +104,17 @@ def main(argv=None):
 
     print(f"{width}x{height} frame, seed {args.seed}, "
           f"Python {sys.version.split()[0]}")
-    print(f"{'run':<16} {'bytecodes':>10} {'cycles':>8} {'per cycle':>10} {'gc runs':>8}")
+    print(f"{'run':<16} {'bytecodes':>10} {'cycles':>8} {'per cycle':>10} "
+          f"{'calls/cycle':>11} {'gc runs':>8}")
     for variant in ("hdl", "hls"):
         runs = (("full chain", build_pipeline(edge_chain(variant, config)), rgb, NO_STALLS),
                 ("core alone", build_pipeline([sobel_pe(variant, config)]), gray, NO_STALLS),
                 ("core stalled", build_pipeline([sobel_pe(variant, exact)]), gray, SINK_STALLS))
         for label, pipeline, frame, stalls in runs:
-            count, cycles = count_opcodes(pipeline, frame, stalls)
+            count, calls, cycles = count_opcodes(pipeline, frame, stalls)
             collections = count_collections(pipeline, frame, stalls)
             print(f"{variant + ' ' + label:<16} {count:>10} {cycles:>8} "
-                  f"{count / cycles:>10.1f} {collections:>8}")
+                  f"{count / cycles:>10.1f} {calls / cycles:>11.2f} {collections:>8}")
     return 0
 
 

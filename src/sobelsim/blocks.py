@@ -174,9 +174,16 @@ class Rgb2GrayPE(ProcessingElement):
         if reg is not None:
             if not pout.free:
                 return  # hold the register, accept nothing
-            pout.put(reg)
+            if reg[0] >> pout.payload_width:  # the handshake in place: see Channel
+                pout.put(reg)
+            pout.free = False
+            pout._q.append(reg)
+            pout.moves += 1
         if pin.head is not None:
-            word, last = pin.take()
+            word, last = pin.head
+            pin.head = None
+            del pin._q[0]
+            pin.moves += 1
             gray = ((word >> 16) + ((word >> 8) & 0xFF) + (word & 0xFF)) // 3  # word < 2**24
             self._reg = (gray, last)
         else:
@@ -205,10 +212,17 @@ class U8ToU32PE(ProcessingElement):
         if reg is not None:
             if not pout.free:
                 return
-            pout.put(reg)
+            if reg[0] >> pout.payload_width:  # the handshake in place: see Channel
+                pout.put(reg)
+            pout.free = False
+            pout._q.append(reg)
+            pout.moves += 1
             self._reg = None
         if pin.head is not None:
-            data, last = pin.take()
+            data, last = pin.head
+            pin.head = None
+            del pin._q[0]
+            pin.moves += 1
             count = self._count
             acc = self._acc | data << (8 * count)
             if count == 3 or last:
@@ -292,7 +306,12 @@ class SobelHdlPE(_SobelCore):
         if s3 is not None:
             if not pout.free:
                 return
-            pout.put(s3[1])
+            beat = s3[1]
+            if beat[0] >> pout.payload_width:  # the handshake in place: see Channel
+                pout.put(beat)
+            pout.free = False
+            pout._q.append(beat)
+            pout.moves += 1
             if trace is not None:
                 trace.append(("emit", now, s3[0]))
 
@@ -334,7 +353,10 @@ class SobelHdlPE(_SobelCore):
             if pin.head is None:
                 self._s1 = None
             else:
-                data, last = pin.take()
+                data, last = pin.head
+                pin.head = None
+                del pin._q[0]
+                pin.moves += 1
                 if last != (idx == self._last):
                     raise self._length_error(idx)
                 row, col = divmod(idx, self._w)
@@ -395,7 +417,12 @@ class SobelHlsPE(_SobelCore):
         if tail is not None:
             if not pout.free:
                 return
-            pout.put(tail[1])
+            beat = tail[1]
+            if beat[0] >> pout.payload_width:  # the handshake in place: see Channel
+                pout.put(beat)
+            pout.free = False
+            pout._q.append(beat)
+            pout.moves += 1
             if trace is not None:
                 trace.append(("emit", now, tail[0]))
 
@@ -404,7 +431,10 @@ class SobelHlsPE(_SobelCore):
         idx = self._in_idx
         if idx < self._total:
             if pin.head is not None:
-                pixel, last = pin.take()
+                pixel, last = pin.head
+                pin.head = None
+                del pin._q[0]
+                pin.moves += 1
                 if last != (idx == self._last):
                     raise self._length_error(idx)
                 row, col = divmod(idx, self._w)

@@ -102,6 +102,13 @@ class Channel:
     take or a put into an already-claimed slot a ProtocolError.  run_frame's
     sink reads its queue before anything else acts, so the sink channel's
     head stays None.
+
+    The built-in elements of blocks hand beats over in place, without a call
+    per beat, and keep every check: a put tests free first, calls put() for a
+    beat whose data exceeds payload_width (so put raises the width error),
+    then clears free, appends to _q and counts the move; a take tests head
+    first, then clears head, deletes _q[0] and counts the move.  put() and
+    take() remain the API for every other element.
     """
 
     __slots__ = ("payload_width", "capacity", "_q", "head", "free", "moves")
@@ -158,10 +165,14 @@ class Channel:
     def put(self, beat: Beat):
         if not self.free:
             raise ProtocolError("put on a channel with no free slot")
-        if beat[0] >> self.payload_width:  # nonzero for x < 0 and x >= 2**width
-            raise ValueError(
-                f"beat data {beat[0]:#x} exceeds {self.payload_width}-bit payload"
-            )
+        try:
+            if beat[0] >> self.payload_width:  # nonzero for x < 0 and x >= 2**width
+                raise ValueError(
+                    f"beat data {beat[0]:#x} exceeds {self.payload_width}-bit payload"
+                )
+        except (TypeError, LookupError):
+            raise ValueError(f"beat {beat!r} is not a (data, last) pair "
+                             f"with integer data") from None
         self.free = False
         self._q.append(beat)
         self.moves += 1
@@ -232,6 +243,8 @@ def build_pipeline(elements, channel_capacity: int = 2) -> Pipeline:
 def _validate_frame(frame, payload_width: int):
     if not frame:
         raise ValueError("frame must contain at least one beat")
+    if type(frame) is bytes:  # every byte fits every payload width
+        return
     for data in frame:  # the first bad payload in frame order is named
         try:
             if data >> payload_width:  # nonzero for x < 0 and x >= 2**width

@@ -8,6 +8,7 @@ Latency facts are pinned through the cores' event traces.
 import math
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -18,6 +19,7 @@ from helpers import random_gray, random_rgb, run_sobel
 from sobelsim import blocks
 from sobelsim import (
     Beat,
+    Channel,
     ConfigMismatchError,
     GrayImage,
     LineBuffer,
@@ -25,6 +27,8 @@ from sobelsim import (
     Rgb2GrayPE,
     RgbImage,
     SobelConfig,
+    SobelHdlPE,
+    SobelHlsPE,
     StallModel,
     U8ToU32PE,
     build_pipeline,
@@ -550,6 +554,93 @@ class TestFullChain:
             baseline, _ = run_frame(pipe, rgb_frame(img))
             stalled, _ = run_frame(pipe, rgb_frame(img), StallModel(0.7, seed=3))
             assert stalled == baseline
+
+
+def drive_by_hand(pe, frame, in_width, out_width, capacity=2):
+    """Tick pe alone through a frame of payloads, the source and the sink
+    acting through Channel.put and take, until the last beat is received.
+
+    After each tick, the input channel refuses a second take if pe took a
+    beat, and the output channel a second put if pe put one; each channel's
+    pushed and popped equal the beats that moved on it.  Returns the beats
+    received and the number of takes and puts pe made.
+    """
+    pin, pout = Channel(in_width, capacity), Channel(out_width, capacity)
+    pe.reset()
+    received = []
+    fed = takes = puts = 0
+    for _ in range(10 * len(frame) + 20):
+        pin.begin_cycle()
+        pout.begin_cycle()
+        if pout.head is not None:
+            received.append(pout.take())
+        if fed < len(frame) and pin.free:
+            pin.put((frame[fed], fed == len(frame) - 1))
+            fed += 1
+        queued_in, queued_out = len(pin), len(pout)
+        pe.tick(pin, pout)
+        if len(pin) < queued_in:
+            takes += 1
+            with pytest.raises(ProtocolError, match="take on a channel with no visible beat"):
+                pin.take()
+        if len(pout) > queued_out:
+            puts += 1
+            with pytest.raises(ProtocolError, match="put on a channel with no free slot"):
+                pout.put((0, False))
+        assert (pin.pushed, pin.popped) == (fed, fed - len(pin))
+        assert (pout.pushed, pout.popped) == (len(received) + len(pout), len(received))
+        if received and received[-1][1]:
+            return received, takes, puts
+    pytest.fail("the last beat never arrived")
+
+
+class TestInPlaceHandshake:
+    """The built-in elements move beats through their channels in place
+    (see Channel), with the checks and counts of put and take."""
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    @pytest.mark.parametrize("make, in_width, out_width, frame", [
+        (Rgb2GrayPE, 24, 8, [0xFFFFFF, 0x010203, 0, 0x80FF7F, 0xABCDEF]),
+        (U8ToU32PE, 8, 32, [1, 2, 3, 4, 5, 250]),
+        (lambda: SobelHdlPE(SobelConfig(4, 3)), 8, 8, list(range(0, 240, 20))),
+        (lambda: SobelHlsPE(SobelConfig(4, 3)), 8, 8, list(range(0, 240, 20))),
+    ])
+    def test_handshake_checks_and_counts(self, make, in_width, out_width, frame, capacity):
+        pe = make()
+        expected, _ = run_frame(build_pipeline([pe], capacity), frame)
+        received, takes, puts = drive_by_hand(pe, frame, in_width, out_width, capacity)
+        assert received == expected
+        assert (takes, puts) == (len(frame), len(expected))
+
+    @pytest.mark.parametrize("width", [8, 24])
+    def test_packer_into_a_narrow_channel_raises_the_width_error(self, width):
+        channel = Channel(width)
+        channel.begin_cycle()
+        with pytest.raises(ValueError) as by_put:
+            channel.put((0x04030201, True))
+        with pytest.raises(ValueError) as in_place:
+            drive_by_hand(U8ToU32PE(), [1, 2, 3, 4], 8, width)
+        assert str(in_place.value) == str(by_put.value)
+        assert str(by_put.value) == f"beat data 0x4030201 exceeds {width}-bit payload"
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_full_chain_calls_neither_put_nor_take(self, variant):
+        pipe = build_pipeline(edge_chain(variant, SobelConfig(5, 4)))
+        frame = rgb_frame(random_rgb(random.Random(5), 5, 4))
+        entered = set()
+
+        def profile(frame_, event, arg):
+            if event == "call":
+                entered.add(frame_.f_code)
+
+        sys.setprofile(profile)
+        try:
+            run_frame(pipe, frame)
+        finally:
+            sys.setprofile(None)
+        assert type(pipe.elements[1]).tick.__code__ in entered
+        assert Channel.put.__code__ not in entered
+        assert Channel.take.__code__ not in entered
 
 
 class TestConfigurationProperty:

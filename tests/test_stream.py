@@ -149,6 +149,15 @@ class TestChannel:
         with pytest.raises(ValueError):
             ch.put(Beat(256))
 
+    @pytest.mark.parametrize("beat", [(1.5, False), (None, True), 5, ()])
+    def test_beat_that_is_not_a_pair_of_integer_data_rejected(self, beat):
+        ch = Channel(8)
+        ch.begin_cycle()
+        with pytest.raises(ValueError, match=rf"beat {re.escape(repr(beat))} is not a "
+                                             r"\(data, last\) pair with integer data"):
+            ch.put(beat)
+        assert (ch.free, len(ch), ch.moves) == (True, 0, 0)
+
     @pytest.mark.parametrize("width", [8, 24, 32])
     def test_payload_bounds(self, width):
         ch = Channel(width)
