@@ -31,7 +31,6 @@ import struct
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
-from math import isqrt
 from operator import itemgetter
 from typing import Optional
 
@@ -55,6 +54,14 @@ class LineBuffer:
     resets, and a second access of one kind in the same cycle is a
     ProtocolError.  swap() is a read and a write of one cell, so it uses
     both ports.
+
+    The Sobel cores use their RAMs in place, without a call per access, and
+    keep every check: a read tests _read_at against now first and calls
+    read() on a clash (so read raises the port error), then stamps
+    _read_at with now and indexes cells; a write does the same with
+    _write_at and write(); a swap tests the read port and then the write
+    port, calling swap() on a clash, before it stamps both.  read(),
+    write() and swap() remain the API for everything else.
     """
 
     __slots__ = ("depth", "cells", "_read_at", "_write_at")
@@ -97,6 +104,13 @@ class LineBuffer:
         self._write_at = -1
 
 
+# _ROUND_SQRT[s] is sqrt(s) rounded half away from zero, floor(sqrt(s) + 1/2),
+# for every s below 65281 = 255*256 + 1, where that first reaches 256: m is
+# the rounded root of the 2m values s = m*m - m + 1 .. m*m + m.  A ROM, as
+# hardware would hold it; from 65281 on the magnitude saturates at 255
+_ROUND_SQRT = bytes(1) + b"".join(bytes((m,)) * (2 * m) for m in range(1, 256))
+
+
 def sobel_kernel(window: tuple, exact: bool = False) -> int:
     """8-bit Sobel magnitude of a 3x3 window held as a 9-tuple in image layout.
 
@@ -108,7 +122,10 @@ def sobel_kernel(window: tuple, exact: bool = False) -> int:
     gh = p02 - p00 + 2 * (p12 - p10) + p22 - p20
     gv = p20 - p00 + 2 * (p21 - p01) + p22 - p02
     # magnitude()'s two forms, inline on the hot path
-    mag = (isqrt(4 * (gh * gh + gv * gv)) + 1) >> 1 if exact else abs(gh) + abs(gv)
+    if exact:
+        s = gh * gh + gv * gv
+        return _ROUND_SQRT[s] if s < 65281 else 255
+    mag = abs(gh) + abs(gv)
     return 255 if mag > 255 else mag
 
 
@@ -119,13 +136,11 @@ def magnitude(gh: int, gv: int, mode: str = "approx") -> int:
     half away from zero.  Both clamp at 255.
     """
     if mode == "exact":
-        # sqrt(x) rounded half away from zero, in integers as hardware
-        # does it: floor(sqrt(x) + 1/2) = (floor(sqrt(4x)) + 1) // 2
-        mag = (isqrt(4 * (gh * gh + gv * gv)) + 1) >> 1
-    elif mode == "approx":
-        mag = abs(gh) + abs(gv)
-    else:
+        s = gh * gh + gv * gv
+        return _ROUND_SQRT[s] if s < 65281 else 255
+    if mode != "approx":
         raise ValueError(f"unknown magnitude mode {mode!r}")
+    mag = abs(gh) + abs(gv)
     return 255 if mag > 255 else mag
 
 
@@ -291,9 +306,15 @@ class SobelHdlPE(_SobelCore):
     stage_count = 4
     row_rams = 2
 
+    def __init__(self, config: SobelConfig):
+        super().__init__(config)
+        lb0, lb1 = self._lb
+        # by row parity: (the RAM holding row-2, which stage 2 overwrites, row-1's)
+        self._ram_pairs = ((lb0, lb1), (lb1, lb0))
+
     def reset(self):
         super().reset()
-        self._s1 = None  # (out_pos, pixel, row, col, above2, above1); pixel None = drain
+        self._s1 = None  # (out_pos, pixel, row, col, above2, above1, ram2); pixel None = drain
         self._s2 = None  # (out_pos, window or None)
         self._s3 = None  # (out_pos, beat), only for out_pos >= 0
 
@@ -336,13 +357,16 @@ class SobelHdlPE(_SobelCore):
         if s1 is None:
             self._s2 = None
         else:
-            out_pos, pixel, row, col, above2, above1 = s1
+            out_pos, pixel, row, col, above2, above1, ram2 = s1
             if pixel is None:
                 self._s2 = (out_pos, None)
             else:
                 _, a1, a2, _, b1, b2, _, c1, c2 = self._window
                 win = self._window = (a1, a2, above2, b1, b2, above1, c1, c2, pixel)
-                self._lb[row & 1].write(col, pixel, now)
+                if ram2._write_at == now:  # the RAM port in place: see LineBuffer
+                    ram2.write(col, pixel, now)
+                ram2._write_at = now
+                ram2.cells[col] = pixel
                 # the window now covers rows row-2..row, cols col-2..col,
                 # i.e. the interior centre that out_pos points at
                 self._s2 = (out_pos, win if row >= 2 and col >= 2 else None)
@@ -359,15 +383,22 @@ class SobelHdlPE(_SobelCore):
                 pin.moves += 1
                 if last != (idx == self._last):
                     raise self._length_error(idx)
-                row, col = divmod(idx, self._w)
-                above2 = self._lb[row & 1].read(col, now)  # row-2, overwritten next stage
-                above1 = self._lb[(row + 1) & 1].read(col, now)  # row-1
-                self._s1 = (idx - self._w - 1, data, row, col, above2, above1)
+                w = self._w
+                col = idx % w
+                row = idx // w
+                ram2, ram1 = self._ram_pairs[row & 1]  # the RAM ports in place: see LineBuffer
+                if ram2._read_at == now:
+                    ram2.read(col, now)
+                ram2._read_at = now
+                if ram1._read_at == now:
+                    ram1.read(col, now)
+                ram1._read_at = now
+                self._s1 = (idx - w - 1, data, row, col, ram2.cells[col], ram1.cells[col], ram2)
                 self._in_idx = idx + 1
                 if trace is not None:
                     trace.append(("accept", now, idx))
         elif idx < self._end:
-            self._s1 = (idx - self._w - 1, None, 0, 0, 0, 0)
+            self._s1 = (idx - self._w - 1, None, 0, 0, 0, 0, None)
             self._in_idx = idx + 1
         else:
             self._s1 = None
@@ -437,11 +468,23 @@ class SobelHlsPE(_SobelCore):
                 pin.moves += 1
                 if last != (idx == self._last):
                     raise self._length_error(idx)
-                row, col = divmod(idx, self._w)
-                top, mid, bot = self._lb
-                bot_old = bot.swap(col, pixel, now)
-                mid_old = mid.swap(col, bot_old, now)
-                top.write(col, mid_old, now)
+                col = idx % self._w
+                row = idx // self._w
+                top, mid, bot = self._lb  # the RAM ports in place: see LineBuffer
+                if bot._read_at == now or bot._write_at == now:
+                    bot.swap(col, pixel, now)
+                bot._read_at = bot._write_at = now
+                bot_old = bot.cells[col]
+                bot.cells[col] = pixel
+                if mid._read_at == now or mid._write_at == now:
+                    mid.swap(col, bot_old, now)
+                mid._read_at = mid._write_at = now
+                mid_old = mid.cells[col]
+                mid.cells[col] = bot_old
+                if top._write_at == now:
+                    top.write(col, mid_old, now)
+                top._write_at = now
+                top.cells[col] = mid_old
                 _, a1, a2, _, b1, b2, _, c1, c2 = self._window
                 win = self._window = (a1, a2, mid_old, b1, b2, bot_old, c1, c2, pixel)
                 self._in_idx = idx + 1

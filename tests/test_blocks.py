@@ -194,6 +194,28 @@ class TestMagnitude:
         for x in range(2 * 1020 * 1020 + 1):
             assert (math.isqrt(4 * x) + 1) // 2 == int(math.sqrt(x) + 0.5), x
 
+    def test_rounding_table_matches_integer_rounding(self):
+        # the exact magnitude is _ROUND_SQRT[s] for s = gh^2 + gv^2 below the
+        # table's end and 255 from there on; for every s that 8-bit input can
+        # reach, that is sqrt(s) rounded half up in integers, saturated
+        table = blocks._ROUND_SQRT
+        reach = 2 * 1020 * 1020 + 1
+        rounded = [min(255, (math.isqrt(4 * s) + 1) >> 1) for s in range(reach)]
+        assert len(table) == 65281
+        assert list(table) + [255] * (reach - len(table)) == rounded
+
+    @given(st.lists(st.integers(0, 255), min_size=9, max_size=9))
+    @settings(max_examples=300)
+    def test_kernel_is_the_magnitude_of_the_oracle_masks(self, cells):
+        p00, p01, p02, p10, _, p12, p20, p21, p22 = cells
+        # the oracle's masks, as sobel_frame_reference writes them
+        gh = -p00 + p02 - 2 * p10 + 2 * p12 - p20 + p22
+        gv = -p00 - 2 * p01 - p02 + p20 + 2 * p21 + p22
+        for mode in ("approx", "exact"):
+            assert sobel_kernel(tuple(cells), mode == "exact") == magnitude(gh, gv, mode)
+            centre = sobel_frame_reference(GrayImage(3, 3, cells), mode).pixels[4]
+            assert magnitude(gh, gv, mode) == centre
+
 
 class TestSobelConfig:
     @pytest.mark.parametrize("w,h", [(2, 3), (3, 2), (1, 1)])
@@ -514,6 +536,37 @@ class TestSobelTiming:
                     assert (stats.total_cycles, stats.first_output_cycle) == (
                         w * h + w + d + 1, w + d + 2), (w, h, d)
 
+    @pytest.mark.parametrize("full_chain", [False, True])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_closed_form_cycle_counts_at_every_capacity(self, variant, full_chain):
+        # no stalls, with N = W*H + W + 1: (total, first output) is a fixed
+        # offset from (N, W) at capacity 2-3; capacity 1 passes one beat
+        # every other cycle, so there it is an offset from (2N, 2W)
+        offsets = {  # (variant, full chain): capacity 2-3, capacity 1; d is the hls depth
+            ("hdl", False): lambda d: ((4, 6), (3, 7)),
+            ("hdl", True): lambda d: ((8, 13), (7, 17)),
+            ("hls", False): lambda d: ((d, d + 2), (d - 1, d + 3)),
+            ("hls", True): lambda d: ((d + 4, d + 9), (d + 3, d + 13)),
+        }[variant, full_chain]
+        rng = random.Random(14)
+        for w in range(3, 12):
+            for h in range(3, 9):
+                if full_chain:
+                    frame = rgb_frame(random_rgb(rng, w, h))
+                else:
+                    frame = gray_frame(random_gray(rng, w, h))
+                n = w * h + w + 1
+                for d in range(2, 10) if variant == "hls" else (6,):
+                    config = SobelConfig(w, h)
+                    elements = (edge_chain(variant, config, d) if full_chain
+                                else [sobel_pe(variant, config, d)])
+                    wide, narrow = offsets(d)
+                    for capacity in (1, 2, 3):
+                        _, stats = run_frame(build_pipeline(elements, capacity), frame)
+                        (total, first), scale = (narrow, 2) if capacity == 1 else (wide, 1)
+                        assert (stats.total_cycles, stats.first_output_cycle) == (
+                            scale * n + total, scale * w + first), (w, h, d, capacity)
+
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             sobel_pe("hls", SobelConfig(3, 3), pipeline_depth=1)
@@ -641,6 +694,119 @@ class TestInPlaceHandshake:
         assert type(pipe.elements[1]).tick.__code__ in entered
         assert Channel.put.__code__ not in entered
         assert Channel.take.__code__ not in entered
+
+
+PORT_STAMPS = {"read": "_read_at", "write": "_write_at"}
+PORT_ERRORS = {"read": "second read on a single-read-port line buffer",
+               "write": "second write on a single-write-port line buffer"}
+
+
+def tick_through(pe, frame, cycles, stamps=()):
+    """Tick pe alone by hand for `cycles` cycles from a reset, feeding frame
+    and taking every beat it puts, so that its output never blocks.
+
+    Before the final tick, each (RAM index, port) in stamps is stamped with
+    the cycle that tick will use, as if it had already been used in it.
+    Returns, per cycle, the set of (RAM index, port) stamped with that cycle
+    after its tick.
+    """
+    pin, pout = Channel(8), Channel(8)
+    pe.reset()
+    fed = 0
+    used = []
+    for cycle in range(cycles):
+        pin.begin_cycle()
+        pout.begin_cycle()
+        if pout.head is not None:
+            pout.take()
+        if fed < len(frame) and pin.free:
+            pin.put((frame[fed], fed == len(frame) - 1))
+            fed += 1
+        if cycle == cycles - 1:
+            for k, port in stamps:
+                setattr(pe._lb[k], PORT_STAMPS[port], cycle)
+        pe.tick(pin, pout)
+        used.append({(k, port) for k, lb in enumerate(pe._lb)
+                     for port, stamp in PORT_STAMPS.items() if getattr(lb, stamp) == cycle})
+    return used
+
+
+class TestRamPortsInPlace:
+    """The Sobel cores use their row RAMs in place (see LineBuffer), with
+    read's, write's and swap's port checks and stamps."""
+
+    W, H = 5, 4
+    FRAME = bytes(range(0, 240, 12))
+    CYCLES = 60  # past the frame's end
+
+    def ports_per_cycle(self, variant):
+        pe = sobel_pe(variant, SobelConfig(self.W, self.H))
+        pe.trace = []
+        return pe, tick_through(pe, self.FRAME, self.CYCLES)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_each_tick_stamps_the_ports_it_uses(self, variant):
+        pe, used = self.ports_per_cycle(variant)
+        expected = [set() for _ in used]
+        for kind, cycle, *where in pe.trace:
+            if kind != "accept":
+                continue
+            if variant == "hdl":
+                # stage 1 reads both RAMs; stage 2 writes the pixel over
+                # row-2, in the RAM of its row's parity, one cycle later
+                expected[cycle] |= {(0, "read"), (1, "read")}
+                expected[cycle + 1].add(((where[0] // self.W) & 1, "write"))
+            else:
+                # bot and mid swap, top is written
+                expected[cycle] |= {(0, "write"), (1, "read"), (1, "write"),
+                                    (2, "read"), (2, "write")}
+        assert used == expected
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_claimed_port_raises_the_line_buffer_error(self, variant):
+        pe, used = self.ports_per_cycle(variant)
+        first = {}
+        for cycle, ports in enumerate(used):
+            for port in ports:
+                first.setdefault(port, cycle)
+        for (k, port), cycle in first.items():
+            with pytest.raises(ProtocolError, match=f"^{PORT_ERRORS[port]}$"):
+                tick_through(pe, self.FRAME, cycle + 1, [(k, port)])
+
+    @pytest.mark.parametrize("variant, message", [
+        ("hdl", PORT_ERRORS["write"]),  # stage 2 writes before stage 1 reads
+        ("hls", PORT_ERRORS["read"]),  # the first swap tests its read port first
+    ])
+    def test_every_port_claimed_raises_in_call_order(self, variant, message):
+        pe, used = self.ports_per_cycle(variant)
+        cycle = max(range(len(used)), key=lambda c: len(used[c]))  # the busiest tick
+        with pytest.raises(ProtocolError, match=f"^{message}$"):
+            tick_through(pe, self.FRAME, cycle + 1, list(used[cycle]))
+
+    @pytest.mark.parametrize("full_chain", [False, True])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_run_frame_calls_no_line_buffer_method(self, variant, full_chain):
+        rng = random.Random(6)
+        if full_chain:
+            pipe = build_pipeline(edge_chain(variant, SobelConfig(5, 4)))
+            frame = rgb_frame(random_rgb(rng, 5, 4))
+        else:
+            pipe = build_pipeline([sobel_pe(variant, SobelConfig(5, 4))])
+            frame = gray_frame(random_gray(rng, 5, 4))
+        entered = set()
+
+        def profile(frame_, event, arg):
+            if event == "call":
+                entered.add(frame_.f_code)
+
+        sys.setprofile(profile)
+        try:
+            run_frame(pipe, frame)
+        finally:
+            sys.setprofile(None)
+        assert blocks.sobel_kernel.__code__ in entered
+        for method in (LineBuffer.read, LineBuffer.write, LineBuffer.swap):
+            assert method.__code__ not in entered, method.__name__
 
 
 class TestConfigurationProperty:
