@@ -28,6 +28,8 @@ final width + 1 border zeros after the frame ends.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
@@ -49,19 +51,18 @@ class LineBuffer:
     """One row of pixels modelled as a dual-port RAM of `depth` byte cells.
 
     The discipline check mirrors the physical part: at most one read and
-    one write per simulated cycle.  read(), write() and swap() take the
-    caller's cycle number `now`, a count from 0 that never repeats between
-    resets, and a second access of one kind in the same cycle is a
-    ProtocolError.  swap() is a read and a write of one cell, so it uses
-    both ports.
+    one write per simulated cycle.  read() and write() take the caller's
+    cycle number `now`, a count from 0 that never repeats between resets,
+    and a second access of one kind in the same cycle is a ProtocolError.
 
     The Sobel cores use their RAMs in place, without a call per access, and
     keep every check: a read tests _read_at against now first and calls
     read() on a clash (so read raises the port error), then stamps
     _read_at with now and indexes cells; a write does the same with
-    _write_at and write(); a swap tests the read port and then the write
-    port, calling swap() on a clash, before it stamps both.  read(),
-    write() and swap() remain the API for everything else.
+    _write_at and write().  A read and a write of one cell in one cycle
+    tests both ports first and, on a clash, calls read() and then write(),
+    so the read port raises first.  read() and write() remain the API for
+    everything else.
     """
 
     __slots__ = ("depth", "cells", "_read_at", "_write_at")
@@ -85,18 +86,6 @@ class LineBuffer:
             raise ProtocolError("second write on a single-write-port line buffer")
         self._write_at = now
         self.cells[col] = value
-
-    def swap(self, col: int, value: int, now: int) -> int:
-        """Read cell col and write value over it in one cycle; returns the old value."""
-        if now == self._read_at:
-            raise ProtocolError("second read on a single-read-port line buffer")
-        if now == self._write_at:
-            raise ProtocolError("second write on a single-write-port line buffer")
-        self._read_at = self._write_at = now
-        cells = self.cells
-        old = cells[col]
-        cells[col] = value
-        return old
 
     def reset(self):
         self.cells = bytearray(self.depth)
@@ -472,12 +461,14 @@ class SobelHlsPE(_SobelCore):
                 row = idx // self._w
                 top, mid, bot = self._lb  # the RAM ports in place: see LineBuffer
                 if bot._read_at == now or bot._write_at == now:
-                    bot.swap(col, pixel, now)
+                    bot.read(col, now)
+                    bot.write(col, pixel, now)
                 bot._read_at = bot._write_at = now
                 bot_old = bot.cells[col]
                 bot.cells[col] = pixel
                 if mid._read_at == now or mid._write_at == now:
-                    mid.swap(col, bot_old, now)
+                    mid.read(col, now)
+                    mid.write(col, bot_old, now)
                 mid._read_at = mid._write_at = now
                 mid_old = mid.cells[col]
                 mid.cells[col] = bot_old
@@ -550,23 +541,27 @@ def gray_frame(image: GrayImage) -> bytes:
     return gray_bytes(image)
 
 
-def unpack_words(beats, byte_count: int) -> list:
-    """Unpack 32-bit word beats back into their first byte_count bytes."""
+def unpack_words(beats, byte_count: int) -> bytes:
+    """The first byte_count bytes of 32-bit word beats, each word little-endian."""
     if not isinstance(byte_count, int):
         raise ValueError(f"byte count must be an integer, got {byte_count!r}")
     if not isinstance(beats, (list, tuple)):  # the errors below index it
         beats = list(beats)
-    data = []
+    data = array("I")  # 4 bytes a word, where a list holds a pointer to an int
     try:
         data.extend(map(itemgetter(0), beats))
-    except (TypeError, LookupError):  # extend kept the data of every beat before the bad one
-        raise ValueError(f"word beat {beats[len(data)]!r} is not a (data, last) pair") from None
-    try:
-        out = struct.pack(f"<{len(data)}I", *data)
-    except struct.error:
+    except (TypeError, LookupError, OverflowError):  # extend kept the words before the bad beat
+        for beat in beats[len(data):]:  # a beat that is no pair is named before bad data
+            try:
+                beat[0]
+            except (TypeError, LookupError):
+                raise ValueError(f"word beat {beat!r} is not a (data, last) pair") from None
         raise ValueError("word beats must hold 32-bit unsigned data") from None
+    if sys.byteorder == "big":
+        data.byteswap()
+    out = data.tobytes()
     if not 0 <= byte_count <= len(out):
         raise ValueError(f"{len(beats)} words cannot hold {byte_count} bytes")
     if any(out[byte_count:]):
         raise ValueError("padding bytes beyond the frame end must be zero")
-    return list(out[:byte_count])
+    return out[:byte_count]

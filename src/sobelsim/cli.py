@@ -43,15 +43,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_model_flags(sub):
+def _add_core_flags(sub):
     sub.add_argument("--magnitude", choices=("approx", "exact"), default="approx",
                      help="gradient magnitude mode (default: approx)")
+    sub.add_argument("--hls-depth", type=int, default=6, metavar="N",
+                     help="hls core pipeline depth (default: 6)")
+
+
+def _add_model_flags(sub):
+    _add_core_flags(sub)
     sub.add_argument("--stall-prob", type=float, default=0.0, metavar="P",
                      help="sink stall probability per cycle (default: 0)")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for the stall model (default: 0)")
-    sub.add_argument("--hls-depth", type=int, default=6, metavar="N",
-                     help="hls core pipeline depth (default: 6)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="cycle-level streaming Sobel core simulator")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("process", parents=[], help="run one core over a BMP")
+    p = commands.add_parser("process", help="run one core over a BMP")
     p.add_argument("--arch", choices=("hdl", "hls"), default="hdl",
                    help="which core to simulate (default: hdl)")
     p.add_argument("--input", required=True, help="24-bpp BMP to read")
@@ -84,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, required=True,
                    help="seed for the frame contents and the stall models")
     b.add_argument("--report", required=True, help="CSV of per-run cycle stats")
-    b.add_argument("--magnitude", choices=("approx", "exact"), default="approx")
-    b.add_argument("--hls-depth", type=int, default=6, metavar="N")
+    _add_core_flags(b)
     b.set_defaults(func=cmd_bench)
 
     return parser
@@ -111,10 +114,10 @@ def _edge_pipeline(variant, width, height, args):
     return build_pipeline(edge_chain(variant, config, args.hls_depth))
 
 
-def _run_core(pipeline, rgb, width, height, stalls):
-    """Simulate one edge pipeline over rgb bytes; returns (gray bytes, stats)."""
-    words, stats = run_frame(pipeline, rgb_bytes_frame(rgb), stalls)
-    return bytes(unpack_words(words, width * height)), stats
+def _run_core(pipeline, frame, byte_count, stalls):
+    """Simulate one edge pipeline over a frame; returns (gray bytes, stats)."""
+    words, stats = run_frame(pipeline, frame, stalls)
+    return unpack_words(words, byte_count), stats
 
 
 class WorkerError(ChildProcessError):
@@ -217,7 +220,7 @@ def cmd_process(args) -> int:
     width, height, rgb = _read_input(args.input)
     pipeline = _edge_pipeline(args.arch, width, height, args)
     stalls = StallModel(args.stall_prob, args.seed)
-    gray, stats = _run_core(pipeline, rgb, width, height, stalls)
+    gray, stats = _run_core(pipeline, rgb_bytes_frame(rgb), width * height, stalls)
     _write_edges(args.output, width, height, gray)
     if args.report:
         resources = estimate_resources(args.arch, width, args.hls_depth)
@@ -236,7 +239,7 @@ def cmd_compare(args) -> int:
     stalls = StallModel(args.stall_prob, args.seed)
     pipelines = (hdl, _edge_pipeline("hls", width, height, args))
     (hdl_gray, hdl_stats), (hls_gray, hls_stats) = _run_each(
-        pipelines, rgb, width, height, stalls)
+        pipelines, rgb_bytes_frame(rgb), width * height, stalls)
     report = build_report(
         hdl_stats,
         hls_stats,

@@ -137,26 +137,6 @@ class TestLineBuffer:
         lb.read(1, 1)  # each port is free again in the next cycle
         lb.write(1, 2, 2)
 
-    def test_swap_returns_the_old_cell_and_stores_the_new(self):
-        lb = LineBuffer(8)
-        lb.write(3, 7, 0)
-        assert lb.swap(3, 9, 1) == 7
-        assert lb.read(3, 2) == 9
-        assert lb.swap(4, 5, 3) == 0  # a swap frees both ports for the next cycle
-        lb.swap(4, 6, 4)
-
-    @pytest.mark.parametrize("port, message", [("read", "second read"), ("write", "second write")])
-    def test_swap_uses_both_ports(self, port, message):
-        def other(lb):
-            return lb.read(0, 0) if port == "read" else lb.write(0, 1, 0)
-
-        for first, second in ((other, lambda lb: lb.swap(1, 2, 0)),
-                              (lambda lb: lb.swap(1, 2, 0), other)):
-            lb = LineBuffer(8)
-            first(lb)
-            with pytest.raises(ProtocolError, match=message):
-                second(lb)
-
     def test_reset_clears_cells(self):
         lb = LineBuffer(4)
         lb.write(0, 9, 0)
@@ -215,6 +195,111 @@ class TestMagnitude:
             assert sobel_kernel(tuple(cells), mode == "exact") == magnitude(gh, gv, mode)
             centre = sobel_frame_reference(GrayImage(3, 3, cells), mode).pixels[4]
             assert magnitude(gh, gv, mode) == centre
+
+
+class Form:
+    """A polynomial over the window's pixels p00..p22 with integer
+    coefficients, traced through sobel_kernel.
+
+    Arithmetic builds the polynomial.  abs(), < and indexing record their
+    operand in `log` and return plain values, so what follows them cannot
+    depend on a pixel; a branch on a form (bool) or any other comparison
+    raises, so no pixel-dependent branch can hide.
+    """
+
+    def __init__(self, terms, log, below=True):
+        self.terms = {m: c for m, c in terms.items() if c}  # sorted names -> coefficient
+        self.log = log
+        self.below = below  # what `form < n` answers
+
+    def _new(self, terms):
+        return Form(terms, self.log, self.below)
+
+    @staticmethod
+    def _terms(x):
+        if type(x) is Form:
+            return x.terms
+        if type(x) is int:
+            return {(): x}
+        raise TypeError(f"unexpected operand {x!r}")
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for m, c in self._terms(other).items():
+            terms[m] = terms.get(m, 0) + c
+        return self._new(terms)
+
+    def __neg__(self):
+        return self._new({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        terms = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in self._terms(other).items():
+                m = tuple(sorted(m1 + m2))
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return self._new(terms)
+
+    __rmul__ = __mul__
+
+    def __abs__(self):
+        self.log.append(("abs", self.terms))
+        return 0
+
+    def __lt__(self, other):
+        self.log.append(("lt", self.terms, other))
+        return self.below
+
+    def __index__(self):
+        self.log.append(("index", self.terms))
+        return 0
+
+    def __bool__(self):
+        raise AssertionError("a branch on a pixel value")
+
+    def _no_branch(self, other):
+        raise AssertionError("a comparison of a pixel value")
+
+    __eq__ = __ne__ = __gt__ = __le__ = __ge__ = _no_branch
+    __hash__ = None
+
+
+class TestTracedKernel:
+    """sobel_kernel run on nine traced pixels: the gradients are straight-line
+    code, the oracle's two masks, and the magnitude reads (gh, gv) only."""
+
+    NAMES = ("p00", "p01", "p02", "p10", "p11", "p12", "p20", "p21", "p22")
+
+    def traced(self, below=True):
+        log = []
+        window = tuple(Form({(name,): 1}, log, below) for name in self.NAMES)
+        p00, p01, p02, p10, _, p12, p20, p21, p22 = window
+        # the oracle's masks, as sobel_frame_reference writes them
+        gh = -p00 + p02 - 2 * p10 + 2 * p12 - p20 + p22
+        gv = -p00 - 2 * p01 - p02 + p20 + 2 * p21 + p22
+        return window, log, gh, gv
+
+    def test_approx_takes_abs_of_the_oracle_masks(self):
+        window, log, gh, gv = self.traced()
+        assert sobel_kernel(window) == 0  # |gh| + |gv| of the ints abs() returned
+        assert gh.terms == {("p00",): -1, ("p02",): 1, ("p10",): -2, ("p12",): 2,
+                            ("p20",): -1, ("p22",): 1}
+        assert log == [("abs", gh.terms), ("abs", gv.terms)]
+
+    @pytest.mark.parametrize("below", [True, False])
+    def test_exact_indexes_the_table_by_the_squared_norm(self, below):
+        window, log, gh, gv = self.traced(below)
+        norm = (gh * gh + gv * gv).terms
+        assert all(len(m) == 2 for m in norm)  # a quadratic form
+        if below:
+            assert sobel_kernel(window, exact=True) == blocks._ROUND_SQRT[0]
+            assert log == [("lt", norm, 65281), ("index", norm)]
+        else:
+            assert sobel_kernel(window, exact=True) == 255
+            assert log == [("lt", norm, 65281)]
 
 
 class TestSobelConfig:
@@ -320,7 +405,7 @@ class TestU8ToU32:
         pipe = build_pipeline([U8ToU32PE()])
         beats, stats = run_frame(pipe, data)
         assert stats.output_beats == (len(data) + 3) // 4
-        assert unpack_words(beats, len(data)) == data
+        assert unpack_words(beats, len(data)) == bytes(data)
         assert [b.last for b in beats].count(True) == 1
         assert beats[-1].last
 
@@ -352,8 +437,15 @@ class TestU8ToU32:
         with pytest.raises(ValueError, match=message):
             unpack_words([Beat(1), (2, False), beat, 7], 12)
 
+    @pytest.mark.parametrize("data", [1 << 32, -1, 1.5, None])
+    def test_unpack_names_a_beat_that_is_not_a_pair_before_bad_data(self, data):
+        with pytest.raises(ValueError, match="word beats must hold 32-bit unsigned data"):
+            unpack_words([Beat(1), (data, False), (2, True)], 12)
+        with pytest.raises(ValueError, match=r"word beat 7 is not a \(data, last\) pair"):
+            unpack_words([Beat(1), (data, False), 7], 12)
+
     def test_unpack_takes_an_iterator(self):
-        assert unpack_words(iter([(0x04030201, False), (5, True)]), 5) == [1, 2, 3, 4, 5]
+        assert unpack_words(iter([(0x04030201, False), (5, True)]), 5) == bytes([1, 2, 3, 4, 5])
         with pytest.raises(ValueError, match=r"word beat 5 is not a \(data, last\) pair"):
             unpack_words(iter([(1, True), 5]), 4)
 
@@ -435,7 +527,7 @@ class TestSobelCores:
             assert out.pixels == want, depth
             chain = build_pipeline(edge_chain("hls", config, depth))
             words, _ = run_frame(chain, rgb_frame(rgb))
-            assert unpack_words(words, 9) == want, depth
+            assert unpack_words(words, 9) == bytes(want), depth
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_backpressure_insensitivity(self, variant):
@@ -591,7 +683,7 @@ class TestFullChain:
         for variant in VARIANTS:
             pipe = build_pipeline(edge_chain(variant, SobelConfig(w, h)))
             words, stats = run_frame(pipe, rgb_frame(img))
-            assert unpack_words(words, w * h) == expected
+            assert unpack_words(words, w * h) == bytes(expected)
             assert stats.output_beats == (w * h + 3) // 4
             assert stats.total_cycles <= w * h + w + 16
 
@@ -733,7 +825,7 @@ def tick_through(pe, frame, cycles, stamps=()):
 
 class TestRamPortsInPlace:
     """The Sobel cores use their row RAMs in place (see LineBuffer), with
-    read's, write's and swap's port checks and stamps."""
+    read's and write's port checks and stamps."""
 
     W, H = 5, 4
     FRAME = bytes(range(0, 240, 12))
@@ -757,7 +849,7 @@ class TestRamPortsInPlace:
                 expected[cycle] |= {(0, "read"), (1, "read")}
                 expected[cycle + 1].add(((where[0] // self.W) & 1, "write"))
             else:
-                # bot and mid swap, top is written
+                # bot and mid are read and written, top is written
                 expected[cycle] |= {(0, "write"), (1, "read"), (1, "write"),
                                     (2, "read"), (2, "write")}
         assert used == expected
@@ -775,7 +867,7 @@ class TestRamPortsInPlace:
 
     @pytest.mark.parametrize("variant, message", [
         ("hdl", PORT_ERRORS["write"]),  # stage 2 writes before stage 1 reads
-        ("hls", PORT_ERRORS["read"]),  # the first swap tests its read port first
+        ("hls", PORT_ERRORS["read"]),  # bot's read port is tested first
     ])
     def test_every_port_claimed_raises_in_call_order(self, variant, message):
         pe, used = self.ports_per_cycle(variant)
@@ -805,7 +897,7 @@ class TestRamPortsInPlace:
         finally:
             sys.setprofile(None)
         assert blocks.sobel_kernel.__code__ in entered
-        for method in (LineBuffer.read, LineBuffer.write, LineBuffer.swap):
+        for method in (LineBuffer.read, LineBuffer.write):
             assert method.__code__ not in entered, method.__name__
 
 
@@ -851,9 +943,9 @@ class TestConfigurationProperty:
                 if full_chain:
                     got = unpack_words(beats, w * h)
                 else:
-                    got = [b.data for b in beats]
+                    got = bytes(b.data for b in beats)
                 # equal to the oracle, so equal between the two cores too
-                assert got == expected
+                assert got == bytes(expected)
                 cycles.append(stats.total_cycles)
             assert cycles[1] >= cycles[0]
 

@@ -329,6 +329,32 @@ class TestWorkers:
         assert outcomes[0][0] == code
         assert outcomes[0] == outcomes[1]
 
+    def test_serial_path_builds_the_frame_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def spy(rgb):
+            built.append(len(rgb))
+            return rgb_bytes_frame(rgb)
+
+        on_one_cpu(monkeypatch)
+        monkeypatch.setattr(cli, "rgb_bytes_frame", spy)
+        assert main_reaped(compare_args(tmp_path)) == 0
+        assert built == [3 * 13 * 7]  # one frame, which both cores run
+
+    @pytest.mark.parametrize("command", ["process", "compare"])
+    def test_settings_checked_before_the_frame_is_built(self, tmp_path, capsys,
+                                                        monkeypatch, command):
+        def spy(rgb):
+            raise AssertionError("rgb_bytes_frame called before the settings were checked")
+
+        monkeypatch.setattr(cli, "rgb_bytes_frame", spy)
+        argv = compare_args(tmp_path, "--stall-prob", "1.5")  # writes in.bmp
+        if command == "process":
+            argv = ["process", "--input", str(tmp_path / "in.bmp"),
+                    "--output", str(tmp_path / "edges.bmp"), "--stall-prob", "1.5"]
+        assert main_reaped(argv) == 1
+        assert capsys.readouterr().err.startswith("sobelsim: error: stall probability")
+
     def test_deadlock_gives_the_serial_text(self, tmp_path, capsys, affinity):
         rc = main_reaped(compare_args(tmp_path, "--stall-prob", "1.0"))
         pipeline = build_pipeline(edge_chain("hdl", SobelConfig(13, 7)))
@@ -343,7 +369,7 @@ class TestWorkers:
         ((DeadlockError, ValueError), 2),
     ], ids=["hdl_value_error", "hdl_deadlock"])
     def test_hdl_error_wins(self, tmp_path, capsys, monkeypatch, affinity, errors, code):
-        def failing_core(pipeline, rgb, width, height, stalls):
+        def failing_core(pipeline, frame, byte_count, stalls):
             variant = pipeline.elements[1].name.split("_")[1]  # sobel_hdl, sobel_hls
             raise errors[variant == "hls"](f"{variant} core failed")
 
@@ -370,12 +396,12 @@ class TestWorkers:
         assert capsys.readouterr().err == f"sobelsim: error: {want}\n"
         pipelines = [build_pipeline(edge_chain(v, SobelConfig(3, 3))) for v in ("hdl", "hls")]
         with pytest.raises(cli.WorkerError, match=want):
-            cli._run_each(pipelines, bytes(range(27)), 3, 3, StallModel())
+            cli._run_each(pipelines, rgb_bytes_frame(bytes(range(27))), 9, StallModel())
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_hdl_error_does_not_wait_for_hls(self, tmp_path, capsys, monkeypatch, affinity):
-        def core(pipeline, rgb, width, height, stalls):
+        def core(pipeline, frame, byte_count, stalls):
             if pipeline.elements[1].name == "sobel_hdl":
                 raise ValueError("hdl core failed")
             time.sleep(30)
@@ -411,7 +437,7 @@ class TestWorkers:
         assert pids == {"sobel_hdl": str(os.getpid()), "sobel_hls": str(forked[0])}
 
     def test_interrupt_reaps_the_workers(self, tmp_path, monkeypatch, affinity, alarm):
-        def slow_core(pipeline, rgb, width, height, stalls):
+        def slow_core(pipeline, frame, byte_count, stalls):
             time.sleep(30)
 
         monkeypatch.setattr(cli, "_run_core", slow_core)
@@ -564,6 +590,13 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["process", "compare", "bench"])
+    def test_every_command_explains_the_core_flags(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+        assert "--magnitude {approx,exact} gradient magnitude mode (default: approx)" in out
+        assert "--hls-depth N hls core pipeline depth (default: 6)" in out
 
 
 def test_module_runs_as_script(tmp_path):
