@@ -14,9 +14,9 @@ the count.  A second, untraced run of each row counts the cyclic garbage
 collections it triggers (after a gc.collect(), through gc.callbacks);
 allocation churn shows there and not in the bytecodes.  A second table
 splits each row's bytecodes per cycle by the function that ran them: the
-elements' ticks, the generated cycle loop, sobel_kernel, LineBuffer's
-methods, _validate_frame, and everything else (run_frame itself, the
-elements' and channels' resets, and any Channel method).  All the
+elements' ticks, the generated cycle loop, sobel_kernel, _validate_frame,
+and everything else (run_frame itself, the elements' and channels'
+resets, and any Channel or LineBuffer method).  All the
 figures repeat exactly for a given Python version and seed, so they
 compare two versions of the program without the noise of host timings.
 
@@ -47,7 +47,7 @@ from sobelsim.blocks import gray_frame
 
 
 SINK_STALLS = StallModel(0.5, seed=7)
-PARTS = ("ticks", "cycle loop", "sobel_kernel", "LineBuffer", "_validate_frame", "other")
+PARTS = ("ticks", "cycle loop", "sobel_kernel", "_validate_frame", "other")
 
 
 def part_of(pipeline):
@@ -55,9 +55,6 @@ def part_of(pipeline):
     parts = {type(pe).tick.__code__: "ticks" for pe in pipeline.elements}
     parts[stream._cycle_loop(len(pipeline.elements)).__code__] = "cycle loop"
     parts[blocks.sobel_kernel.__code__] = "sobel_kernel"
-    for method in vars(blocks.LineBuffer).values():
-        if callable(method):
-            parts[method.__code__] = "LineBuffer"
     parts[stream._validate_frame.__code__] = "_validate_frame"
     return parts
 

@@ -160,6 +160,7 @@ class SobelConfig:
 # ---- processing elements ------------------------------------------------
 
 ZERO_WINDOW = (0,) * 9
+HLS_DEPTH = 6  # the hls core's default pipeline depth
 _BEATS, _LAST_BEATS = BYTE_BEATS  # BYTE_BEATS[flag] would index by a bool, which is slower
 
 
@@ -178,9 +179,7 @@ class Rgb2GrayPE(ProcessingElement):
         if reg is not None:
             if not pout.free:
                 return  # hold the register, accept nothing
-            if reg[0] >> pout.payload_width:  # the handshake in place: see Channel
-                pout.put(reg)
-            pout.free = False
+            pout.free = False  # the handshake in place: see Channel
             pout._q.append(reg)
             pout.moves += 1
         if pin.head is not None:
@@ -317,9 +316,7 @@ class SobelHdlPE(_SobelCore):
             if not pout.free:
                 return
             beat = s3[1]
-            if beat[0] >> pout.payload_width:  # the handshake in place: see Channel
-                pout.put(beat)
-            pout.free = False
+            pout.free = False  # the handshake in place: see Channel
             pout._q.append(beat)
             pout.moves += 1
             if trace is not None:
@@ -415,7 +412,7 @@ class SobelHlsPE(_SobelCore):
     name = "sobel_hls"
     row_rams = 3
 
-    def __init__(self, config: SobelConfig, pipeline_depth: int = 6):
+    def __init__(self, config: SobelConfig, pipeline_depth: int = HLS_DEPTH):
         if not isinstance(pipeline_depth, int):
             raise ValueError(f"pipeline depth must be an integer, got {pipeline_depth!r}")
         if pipeline_depth < 2:
@@ -438,9 +435,7 @@ class SobelHlsPE(_SobelCore):
             if not pout.free:
                 return
             beat = tail[1]
-            if beat[0] >> pout.payload_width:  # the handshake in place: see Channel
-                pout.put(beat)
-            pout.free = False
+            pout.free = False  # the handshake in place: see Channel
             pout._q.append(beat)
             pout.moves += 1
             if trace is not None:
@@ -501,7 +496,7 @@ class SobelHlsPE(_SobelCore):
 # ---- factories ----------------------------------------------------------
 
 
-def sobel_pe(variant: str, config: SobelConfig, pipeline_depth: int = 6):
+def sobel_pe(variant: str, config: SobelConfig, pipeline_depth: int = HLS_DEPTH):
     """Build either Sobel core by its variant tag ("hdl" or "hls")."""
     if variant == "hdl":
         return SobelHdlPE(config)
@@ -510,7 +505,7 @@ def sobel_pe(variant: str, config: SobelConfig, pipeline_depth: int = 6):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def edge_chain(variant: str, config: SobelConfig, pipeline_depth: int = 6) -> list:
+def edge_chain(variant: str, config: SobelConfig, pipeline_depth: int = HLS_DEPTH) -> list:
     """The full edge chain, grayscale -> Sobel core -> word packer."""
     return [Rgb2GrayPE(), sobel_pe(variant, config, pipeline_depth), U8ToU32PE()]
 

@@ -20,7 +20,7 @@ import os
 import random
 import sys
 
-from .blocks import SobelConfig, edge_chain, rgb_bytes_frame, unpack_words
+from .blocks import HLS_DEPTH, SobelConfig, edge_chain, rgb_bytes_frame, unpack_words
 from .image_io import GrayImage, decode_bmp, encode_bmp
 # not called here, but perfbench/tracing.py wraps these under their names
 from .blocks import rgb_frame
@@ -35,19 +35,11 @@ BENCH_CSV_HEADER = (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors, which this tool
-    # reserves for simulated deadlocks; remap to 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _add_core_flags(sub):
     sub.add_argument("--magnitude", choices=("approx", "exact"), default="approx",
                      help="gradient magnitude mode (default: approx)")
-    sub.add_argument("--hls-depth", type=int, default=6, metavar="N",
-                     help="hls core pipeline depth (default: 6)")
+    sub.add_argument("--hls-depth", type=int, default=HLS_DEPTH, metavar="N",
+                     help=f"hls core pipeline depth (default: {HLS_DEPTH})")
 
 
 def _add_model_flags(sub):
@@ -59,8 +51,8 @@ def _add_model_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="sobelsim",
-                     description="cycle-level streaming Sobel core simulator")
+    parser = argparse.ArgumentParser(prog="sobelsim",
+                                     description="cycle-level streaming Sobel core simulator")
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("process", help="run one core over a BMP")
@@ -280,11 +272,7 @@ def cmd_bench(args) -> int:
                 print(f"{variant}: output changed under stall probability "
                       f"{prob}", file=sys.stderr)
                 return 3
-            lines.append(
-                f"{variant},{prob:.4f},{args.seed},{stats.total_cycles},"
-                f"{stats.first_output_cycle},{stats.output_beats},"
-                f"{stats.sink_stall_cycles}"
-            )
+            lines.append(",".join(map(str, (variant, f"{prob:.4f}", args.seed, *stats))))
     with open(args.report, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"bench: {len(lines) - 1} runs of {args.width}x{args.height}",
@@ -296,7 +284,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means deadlock here
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)

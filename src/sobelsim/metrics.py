@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .blocks import ZERO_WINDOW, SobelConfig, sobel_pe
+from .blocks import HLS_DEPTH, ZERO_WINDOW, SobelConfig, sobel_pe
 from .image_io import GrayImage, hamming_distance
 from .stream import CycleStats
 
@@ -61,7 +61,8 @@ class ComparisonReport:
     cycle_ratio: float
 
 
-def estimate_resources(variant: str, width: int, pipeline_depth: int = 6) -> ResourceEstimate:
+def estimate_resources(variant: str, width: int,
+                       pipeline_depth: int = HLS_DEPTH) -> ResourceEstimate:
     """Structural resource counts for one core at a given frame width.
 
     Builds the core for a frame `width` pixels wide and counts its row
@@ -147,12 +148,9 @@ def serialize_report(report: ComparisonReport, fmt: str = "json") -> bytes:
             ("hdl", report.hdl_stats, report.hdl_resources),
             ("hls", report.hls_stats, report.hls_resources),
         ):
-            lines.append(
-                f"{variant},{stats.total_cycles},{stats.first_output_cycle},"
-                f"{stats.sink_stall_cycles},{res.line_buffer_rams},"
-                f"{res.line_buffer_words},{res.window_registers},"
-                f"{res.pipeline_registers}"
-            )
+            summary = variant_summary(stats, res)
+            resources = summary.pop("resources")
+            lines.append(",".join(map(str, (variant, *summary.values(), *resources.values()))))
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown report format {fmt!r}")
 

@@ -104,11 +104,13 @@ class Channel:
     head stays None.
 
     The built-in elements of blocks hand beats over in place, without a call
-    per beat, and keep every check: a put tests free first, calls put() for a
-    beat whose data exceeds payload_width (so put raises the width error),
-    then clears free, appends to _q and counts the move; a take tests head
-    first, then clears head, deletes _q[0] and counts the move.  put() and
-    take() remain the API for every other element.
+    per beat, and keep every check: a put tests free first, then clears free,
+    appends to _q and counts the move; a take tests head first, then clears
+    head, deletes _q[0] and counts the move.  Only an element whose data can
+    exceed 8 bits, the word packer, also calls put() for a beat whose data
+    exceeds payload_width, so that put raises the width error; the others
+    emit bytes, which fit every payload width.  put() and take() remain the
+    API for every other element.
     """
 
     __slots__ = ("payload_width", "capacity", "_q", "head", "free", "moves")

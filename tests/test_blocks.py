@@ -1031,7 +1031,9 @@ class TestWindowRouting:
     in tap order, and that every border position emits 0.  Each geometry
     runs in both magnitude modes, which take separate paths in the kernel;
     channel capacity and hls depth rotate with the geometry, so that every
-    capacity 1-3 meets every width and every height in each mode.
+    capacity 1-3 meets every width and every height in each mode.  The
+    full-chain leg checks the same routing behind the grayscale stage and
+    in front of the packer.
     """
 
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -1065,3 +1067,55 @@ class TestWindowRouting:
                         for (r, c), (_, value) in zip(interior, calls):
                             expected[r * w + c] = value
                         assert [b.data for b in beats] == expected, (w, h, mode)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_full_chain_routes_each_neighbourhood_like_the_core_alone(self, variant,
+                                                                     monkeypatch):
+        # the coded frames go in as RGB pixels (v, v, v), which the grayscale
+        # stage turns back into v; a seeded random frame under the same stall
+        # seed must move the core at the same cycles as the coded ones
+        calls = []
+        kernel = blocks.sobel_kernel
+
+        def recording_kernel(window, exact=False):
+            calls.append(window)
+            return kernel(window, exact)
+
+        def accepts_and_emits(core):
+            return [event for event in core.trace if event[0] in ("accept", "emit")]
+
+        monkeypatch.setattr(blocks, "sobel_kernel", recording_kernel)
+        rng = random.Random(7)
+        for w in range(3, 13):
+            for h in range(3, 9):
+                interior = [(r, c) for r in range(1, h - 1) for c in range(1, w - 1)]
+                for m, mode in enumerate(("approx", "exact")):
+                    config = SobelConfig(w, h, mode)
+                    depth = 2 + (w + 3 * h) % 8
+                    capacity = 1 + (w + h + m) % 3
+                    chain = build_pipeline(edge_chain(variant, config, depth), capacity)
+                    alone = build_pipeline([sobel_pe(variant, config, depth)], capacity)
+                    core = chain.elements[1]
+                    core.trace = []
+                    timings = []
+                    for code in (lambda r, c: r % 256, lambda r, c: c % 256):
+                        pixels = [code(r, c) for r in range(h) for c in range(w)]
+                        rgb = RgbImage(w, h, [(v, v, v) for v in pixels])
+                        calls.clear()
+                        words, _ = run_frame(chain, rgb_frame(rgb),
+                                             StallModel(0.3, seed=100 * w + h))
+                        assert calls == [
+                            tuple(code(r + dr, c + dc)
+                                  for dr in (-1, 0, 1) for dc in (-1, 0, 1))
+                            for r, c in interior
+                        ], (w, h, mode)
+                        beats, _ = run_frame(alone, gray_frame(GrayImage(w, h, pixels)),
+                                             StallModel(0.3, seed=100 * w + h))
+                        assert unpack_words(words, w * h) == bytes(b.data for b in beats), \
+                            (w, h, mode)
+                        timings.append(accepts_and_emits(core))
+                    rgb = RgbImage(w, h, [(rng.randrange(256), rng.randrange(256),
+                                           rng.randrange(256)) for _ in range(w * h)])
+                    run_frame(chain, rgb_frame(rgb), StallModel(0.3, seed=100 * w + h))
+                    assert len(timings[0]) == 2 * w * h
+                    assert accepts_and_emits(core) == timings[0] == timings[1], (w, h, mode)

@@ -213,6 +213,13 @@ class TestBench:
                 assert int(stalls) == 0
             else:
                 assert int(stalls) > 0
+        # the last four fields of each row are run_frame's CycleStats, in order
+        rng = random.Random(11)
+        frame = rgb_bytes_frame(bytes(rng.randrange(256) for _ in range(3 * 16 * 12)))
+        for row in rows:
+            pipeline = build_pipeline(edge_chain(row[0], SobelConfig(16, 12)))
+            _, stats = run_frame(pipeline, frame, StallModel(float(row[1]), 11))
+            assert row[3:] == [str(field) for field in stats], row
 
     def test_rerun_is_bit_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -548,10 +555,22 @@ class TestWorkers:
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
-        assert main(["process", "--input", "x.bmp"]) == 1  # --output missing
-        assert main(["frobnicate"]) == 1
-        assert main([]) == 1
-        capsys.readouterr()
+        # argparse exits 2 on a usage error; main returns 1, keeping 2 for
+        # deadlocks, and leaves argparse's usage and message on stderr
+        for argv, prog, message in [
+            (["process", "--input", "x.bmp"], "sobelsim process",
+             "the following arguments are required: --output"),
+            (["frobnicate"], "sobelsim", "argument command: invalid choice: 'frobnicate'"),
+            ([], "sobelsim", "the following arguments are required: command"),
+            (["compare", "--format", "xml"], "sobelsim compare",
+             "argument --format: invalid choice: 'xml'"),
+            (["bench", "--width", "x"], "sobelsim bench",
+             "argument --width: invalid int value: 'x'"),
+        ]:
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: {prog} "), argv
+            assert err.splitlines()[-1].startswith(f"{prog}: error: {message}"), argv
 
     def test_missing_input_file(self, tmp_path):
         rc = main(["process", "--input", str(tmp_path / "nope.bmp"),
@@ -648,6 +667,10 @@ def test_compare_large_geometries(tmp_path, geometry):
     assert rc == 0
     payload = json.loads(report.read_text())
     assert payload["hamming_bits"] == 0
-    bound = width * height + width + 16
-    assert payload["hdl"]["total_cycles"] <= bound
-    assert payload["hls"]["total_cycles"] <= bound
+    # the README's closed form for the full chains with no stalls, hls at
+    # its default depth of 6
+    n = width * height + width + 1
+    assert payload["hdl"]["total_cycles"] == n + 8
+    assert payload["hdl"]["first_output_cycle"] == width + 13
+    assert payload["hls"]["total_cycles"] == n + 10
+    assert payload["hls"]["first_output_cycle"] == width + 15

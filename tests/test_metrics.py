@@ -161,7 +161,8 @@ class TestSerialization:
         assert payload["cycle_ratio"] == 0.6667
 
     def test_csv_schema(self):
-        lines = serialize_report(sample_report(), "csv").decode().splitlines()
+        report = sample_report()
+        lines = serialize_report(report, "csv").decode().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 3  # header + one row per variant, no summary row
         hdl = lines[1].split(",")
@@ -170,6 +171,15 @@ class TestSerialization:
         assert hdl[1] == "600" and hls[1] == "660"
         assert hdl[4:] == ["2", "1024", "9", "4"]
         assert hls[4:] == ["3", "1536", "9", "6"]
+        # each row is its variant, then that variant's JSON block, resources
+        # flattened, in the block's order, which is the header's
+        payload = json.loads(serialize_report(report, "json"))
+        for row in (hdl, hls):
+            block = payload[row[0]]
+            values = {**block, **block["resources"]}
+            del values["resources"]
+            assert list(values) == CSV_HEADER.split(",")[1:]
+            assert row[1:] == [str(value) for value in values.values()]
 
     def test_serialization_is_deterministic(self):
         report = sample_report()
