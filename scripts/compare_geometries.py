@@ -26,6 +26,7 @@ from sobelsim import (
     rgb_frame,
     run_frame,
 )
+from sobelsim.blocks import HLS_DEPTH
 
 FULL_SWEEP = ((512, 512), (768, 512), (1920, 566), (1920, 1080))
 QUICK_SWEEP = ((128, 128), (512, 512))
@@ -60,7 +61,7 @@ def main(argv=None):
     parser.add_argument("--stall-prob", type=float, default=0.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--magnitude", choices=("approx", "exact"), default="approx")
-    parser.add_argument("--hls-depth", type=int, default=6)
+    parser.add_argument("--hls-depth", type=int, default=HLS_DEPTH)
     args = parser.parse_args(argv)
 
     sweep = QUICK_SWEEP if args.quick else FULL_SWEEP

@@ -23,7 +23,7 @@ from sobelsim import (
     run_frame,
     sobel_pe,
 )
-from sobelsim.blocks import gray_frame
+from sobelsim.blocks import HLS_DEPTH, gray_frame
 
 
 def main(argv=None):
@@ -31,7 +31,7 @@ def main(argv=None):
     parser.add_argument("--arch", choices=("hdl", "hls"), default="hdl")
     parser.add_argument("--width", type=int, default=6)
     parser.add_argument("--height", type=int, default=5)
-    parser.add_argument("--hls-depth", type=int, default=6)
+    parser.add_argument("--hls-depth", type=int, default=HLS_DEPTH)
     parser.add_argument("--stall-prob", type=float, default=0.0)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)

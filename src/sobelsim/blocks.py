@@ -304,23 +304,22 @@ class SobelHdlPE(_SobelCore):
         super().reset()
         self._s1 = None  # (out_pos, pixel, row, col, above2, above1, ram2); pixel None = drain
         self._s2 = None  # (out_pos, window or None)
-        self._s3 = None  # (out_pos, beat), only for out_pos >= 0
+        self._s3 = None  # the beat of out_pos, only for out_pos >= 0
 
     def tick(self, pin, pout):
         now = self._tick = self._tick + 1
         trace = self.trace
 
         # stage 4: emit the registered result; a blocked emit freezes the pipe
-        s3 = self._s3
-        if s3 is not None:
+        beat = self._s3
+        if beat is not None:
             if not pout.free:
                 return
-            beat = s3[1]
             pout.free = False  # the handshake in place: see Channel
             pout._q.append(beat)
             pout.moves += 1
-            if trace is not None:
-                trace.append(("emit", now, s3[0]))
+            if trace is not None:  # positions leave in raster order from 0
+                trace.append(("emit", now, pout.pushed - 1))
 
         # stage 3: convolve the captured window
         s2 = self._s2
@@ -332,9 +331,9 @@ class SobelHdlPE(_SobelCore):
                 if out_pos < 0:  # positions below 0 have no output
                     self._s3 = None
                 else:
-                    self._s3 = (out_pos, _LAST_BEATS[0] if out_pos == self._last else _BEATS[0])
+                    self._s3 = _LAST_BEATS[0] if out_pos == self._last else _BEATS[0]
             else:
-                self._s3 = (out_pos, _BEATS[sobel_kernel(win, self._exact)])
+                self._s3 = _BEATS[sobel_kernel(win, self._exact)]
                 if trace is not None:
                     trace.append(("convolve", now, out_pos // self._w, out_pos % self._w))
 
@@ -401,8 +400,8 @@ class SobelHlsPE(_SobelCore):
     register chain of pipeline_depth (stage_count) stages to the output,
     standing in for whatever schedule a synthesis tool would have produced;
     the depth never changes the emitted bytes.  The chain is a deque of
-    stage_count - 1 (out_pos, beat) tokens, None where no beat rides:
-    chain[0] emits, and appending the next token pushes it out.
+    stage_count - 1 beats, None where no beat rides: chain[0] emits, and
+    appending the next beat pushes it out.
 
     Assign a list to `trace` to record ("accept", t, index),
     ("fill", t, pixels_accepted) once, ("convolve", t, row, col) and
@@ -430,16 +429,15 @@ class SobelHlsPE(_SobelCore):
         chain = self._chain
 
         # emit the chain tail; a blocked emit freezes the whole loop
-        tail = chain[0]
-        if tail is not None:
+        beat = chain[0]
+        if beat is not None:
             if not pout.free:
                 return
-            beat = tail[1]
             pout.free = False  # the handshake in place: see Channel
             pout._q.append(beat)
             pout.moves += 1
-            if trace is not None:
-                trace.append(("emit", now, tail[0]))
+            if trace is not None:  # positions leave in raster order from 0
+                trace.append(("emit", now, pout.pushed - 1))
 
         # one loop iteration: rotate buffers, shift window, convolve
         token = None
@@ -478,16 +476,16 @@ class SobelHlsPE(_SobelCore):
                     trace.append(("accept", now, idx))
                 out_pos = idx - self._w - 1
                 if row >= 2 and col >= 2:
-                    token = (out_pos, _BEATS[sobel_kernel(win, self._exact)])
+                    token = _BEATS[sobel_kernel(win, self._exact)]
                     if trace is not None:
                         if idx == 2 * self._w + 2:  # the first full window
                             trace.append(("fill", now, idx + 1))
                         trace.append(("convolve", now, row - 1, col - 1))
                 elif out_pos >= 0:  # a border zero; positions below 0 have no output
-                    token = (out_pos, _BEATS[0])
+                    token = _BEATS[0]
         elif idx < self._end:
             out_pos = idx - self._w - 1
-            token = (out_pos, _LAST_BEATS[0] if out_pos == self._last else _BEATS[0])
+            token = _LAST_BEATS[0] if out_pos == self._last else _BEATS[0]
             self._in_idx = idx + 1
 
         chain.append(token)

@@ -50,7 +50,7 @@ class WidthMismatchError(ValueError):
 
 
 class DeadlockError(RuntimeError):
-    """No beat moved anywhere for longer than the watchdog allows."""
+    """No beat moved for longer than the watchdog allows, or the sink never takes one."""
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,8 @@ class StallModel:
                              f"got {self.probability!r}") from None
         if not in_range:
             raise ValueError("stall probability must be within [0, 1]")
+        if not isinstance(self.seed, int):  # None would seed from the OS
+            raise ValueError(f"stall seed must be an integer, got {self.seed!r}")
 
 
 NO_STALLS = StallModel()
@@ -261,7 +263,6 @@ _CYCLE_LOOP = Template("""\
 def cycle_loop(frame, watchdog, probability, draw, $ticks, $channels):
     $queues, $capacities = $channel_queues, $channel_capacities
     src, src_q, snk, snk_q, snk_capacity = c0, q0, c$n, q$n, capacity$n
-    stalls_always = probability == 1.0
 
     received = []
     receive = received.append
@@ -309,7 +310,7 @@ $elements
         if moves != prev_moves:
             idle = 0
             prev_moves = moves
-        elif stalled_at != cycle or stalls_always:
+        elif stalled_at != cycle:
             idle += 1
             if idle > watchdog:
                 raise DeadlockError(
@@ -350,8 +351,7 @@ def _cycle_loop(n: int):
     return _LOOPS[n]
 
 
-def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
-              watchdog: Optional[int] = None):
+def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS):
     """Drive one frame through a pipeline and collect the sink's beats.
 
     The frame is a sequence of payload integers, such as a list or bytes.
@@ -361,26 +361,26 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS,
     beats, CycleStats).  The pipeline is reset first, so the same object
     can run any number of frames.
 
-    The run aborts with DeadlockError if no channel moves a beat for more
-    than `watchdog` consecutive cycles (default: 10x the frame length plus
-    the elements' stage_count, which a deep element needs to fill).  A
-    cycle in which the sink drew a stall does not count toward that, as
-    the run may still be making progress, unless the sink stalls always
-    (probability 1.0).
+    A sink with stall probability 1.0 never takes a beat, so the run is
+    refused with DeadlockError before its first cycle.  Otherwise the run
+    aborts with DeadlockError if no channel moves a beat for more than 10x
+    the frame length plus the elements' stage_count consecutive cycles (a
+    deep element needs stage_count cycles to fill).  A cycle in which the
+    sink drew a stall does not count toward that, as the run may still be
+    making progress.
     """
     pipeline.reset()
     _validate_frame(frame, pipeline.channels[0].payload_width)
-    if watchdog is None:
-        watchdog = 10 * len(frame) + pipeline.stage_count
-    elif not isinstance(watchdog, int) or watchdog < 0:
-        raise ValueError(f"watchdog must be a non-negative integer, got {watchdog!r}")
+    probability = stalls.probability
+    if probability == 1.0:
+        raise DeadlockError(f"the sink stalls in every cycle (stall probability {probability})")
 
     # bound after the reset, so that a tick patched onto an instance is seen
     ticks = [pe.tick for pe, _, _ in pipeline.wiring]
-    probability = stalls.probability
     draw = random.Random(stalls.seed).random if probability > 0.0 else None
     received, cycle, first_output, stall_cycles = _cycle_loop(len(ticks))(
-        frame, watchdog, probability, draw, *ticks, *pipeline.channels)
+        frame, 10 * len(frame) + pipeline.stage_count, probability, draw,
+        *ticks, *pipeline.channels)
 
     # CycleStats(*stats) without the Python-level NamedTuple.__new__
     stats = (cycle, first_output, len(received), stall_cycles)

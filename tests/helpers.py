@@ -14,6 +14,7 @@ from sobelsim import (
     run_frame,
     sobel_pe,
 )
+from sobelsim.blocks import HLS_DEPTH
 
 
 def random_gray(rng: random.Random, width: int, height: int, alphabet=None) -> GrayImage:
@@ -33,7 +34,7 @@ def random_rgb(rng: random.Random, width: int, height: int) -> RgbImage:
 
 
 def run_sobel(variant: str, image: GrayImage, mode: str = "approx",
-              stalls=NO_STALLS, pipeline_depth: int = 6, trace=None):
+              stalls=NO_STALLS, pipeline_depth: int = HLS_DEPTH, trace=None):
     """Drive one gray frame through a single Sobel core pipeline."""
     config = SobelConfig(image.width, image.height, magnitude_mode=mode)
     pe = sobel_pe(variant, config, pipeline_depth)

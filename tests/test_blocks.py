@@ -528,6 +528,19 @@ class TestSobelCores:
             chain = build_pipeline(edge_chain("hls", config, depth))
             words, _ = run_frame(chain, rgb_frame(rgb))
             assert unpack_words(words, 9) == bytes(want), depth
+        # the watchdog allows 10x the frame plus every stage, so no depth,
+        # capacity or stall draw makes a live run report a deadlock
+        for w, h in ((3, 3), (5, 4)):
+            rgb = random_rgb(random.Random(w * h), w, h)
+            want = bytes(sobel_frame_reference(rgb2gray_frame_reference(rgb)).pixels)
+            frame = rgb_frame(rgb)
+            for depth in range(2, 65):
+                for capacity in (1, 2, 3):
+                    chain = build_pipeline(edge_chain("hls", SobelConfig(w, h), depth), capacity)
+                    for probability in (0.0, 0.5):
+                        words, _ = run_frame(chain, frame, StallModel(probability, depth))
+                        assert unpack_words(words, w * h) == want, (w, h, depth, capacity,
+                                                                    probability)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_backpressure_insensitivity(self, variant):
@@ -936,6 +949,8 @@ class TestConfigurationProperty:
                 elements = edge_chain(variant, config, depth)
             else:
                 elements = [sobel_pe(variant, config, depth)]
+            core = elements[-2] if full_chain else elements[0]
+            core.trace = []
             pipe = build_pipeline(elements, channel_capacity=capacity)
             cycles = []
             for stalls in (StallModel(), StallModel(stall_prob, stall_seed)):
@@ -947,6 +962,9 @@ class TestConfigurationProperty:
                 # equal to the oracle, so equal between the two cores too
                 assert got == bytes(expected)
                 cycles.append(stats.total_cycles)
+                # the core emits each position once, in raster order
+                emits = [event[2] for event in core.trace if event[0] == "emit"]
+                assert emits == list(range(w * h))
             assert cycles[1] >= cycles[0]
 
 

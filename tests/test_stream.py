@@ -23,7 +23,6 @@ from sobelsim import (
     GrayImage,
     ProcessingElement,
     ProtocolError,
-    RgbImage,
     SobelConfig,
     StallModel,
     WidthMismatchError,
@@ -69,18 +68,19 @@ class RegisterStage(ProcessingElement):
 
 
 class SumsFrame(ProcessingElement):
-    """Swallow a whole frame and emit one beat: the low byte of its sum."""
+    """Swallow a whole frame, one beat every 16 cycles at most, and emit one
+    beat: the low byte of its sum."""
 
     name = "sum"
 
-    def __init__(self):
-        self._acc = 0
-
     def reset(self):
         self._acc = 0
+        self._wait = 0
 
     def tick(self, pin, pout):
-        if pin.head is not None and pout.free:
+        self._wait += 1
+        if self._wait >= 16 and pin.head is not None and pout.free:
+            self._wait = 0
             data, last = pin.take()
             self._acc += data
             if last:
@@ -368,6 +368,13 @@ class TestRunFrame:
         with pytest.raises(ValueError, match=message):
             StallModel(probability)
 
+    @pytest.mark.parametrize("seed", [[1], None, 1.5, "7"])
+    def test_stall_seed_must_be_an_integer(self, seed):
+        # None would seed from the OS, and a list fails only inside run_frame
+        message = rf"stall seed must be an integer, got {re.escape(repr(seed))}"
+        with pytest.raises(ValueError, match=message):
+            StallModel(0.5, seed)
+
     def test_stuck_element_deadlocks(self):
         pipe = build_pipeline([NeverConsumes()])
         with pytest.raises(DeadlockError):
@@ -378,29 +385,30 @@ class TestRunFrame:
         with pytest.raises(DeadlockError):
             run_frame(pipe, byte_frame([1, 2, 3]), StallModel(1.0, seed=0))
 
-    def test_watchdog_is_configurable(self):
-        pipe = build_pipeline([NeverConsumes()])
-        with pytest.raises(DeadlockError) as err:
-            run_frame(pipe, byte_frame([1] * 4), watchdog=5)
-        assert "watchdog 5" in str(err.value)
-
-    @pytest.mark.parametrize("watchdog", [-1, -100, 1.5, 5.0, "5"])
-    def test_watchdog_must_be_a_non_negative_integer(self, watchdog):
-        # a live 3x3 hls depth-9 chain: watchdog=-1 used to pass the
-        # settings and end in a DeadlockError while beats still moved
-        chain = build_pipeline(edge_chain("hls", SobelConfig(3, 3), 9))
-        frame = rgb_frame(RgbImage(3, 3, [(v, v, v) for v in range(9)]))
-        message = rf"watchdog must be a non-negative integer, got {re.escape(repr(watchdog))}"
-        with pytest.raises(ValueError, match=message):
-            run_frame(chain, frame, watchdog=watchdog)
-        assert run_frame(chain, frame)[1].output_beats == 3
-
     def test_watchdog_counts_moves_inside_the_pipeline(self):
-        # nothing reaches the sink channel until the whole frame is in, but
-        # a beat moves on the source channel every cycle until then
+        # nothing reaches the sink channel until the whole frame is in, about
+        # 16 x 12 = 192 cycles, past the watchdog's 10 x 12 + 2 = 122; but a
+        # beat moves on the source channel every 16 cycles until then
         pipe = build_pipeline([SumsFrame(), PassThrough()])
-        beats, _ = run_frame(pipe, byte_frame([1] * 12), watchdog=2)
+        beats, stats = run_frame(pipe, byte_frame([1] * 12))
         assert beats == [Beat(12, True)]
+        assert stats.total_cycles > 10 * 12 + pipe.stage_count
+
+    def test_always_stalled_sink_is_refused_before_cycle_0(self):
+        # a draw is always below 1.0, so such a sink never takes a beat
+        pipe = build_pipeline([PassThrough()])
+        for probability in (1.0, 1):
+            message = rf"the sink stalls in every cycle \(stall probability {probability}\)"
+            with pytest.raises(DeadlockError, match=message):
+                run_frame(pipe, byte_frame([1, 2, 3]), StallModel(probability, seed=4))
+            assert pipe.channels[0].pushed == 0
+
+    def test_bad_frame_is_named_before_the_always_stalled_sink(self):
+        pipe = build_pipeline([PassThrough()])
+        with pytest.raises(ValueError, match="frame beat 0x100 exceeds 8-bit payload"):
+            run_frame(pipe, [1, 256, 3], StallModel(1.0))
+        with pytest.raises(ValueError, match="frame must contain at least one beat"):
+            run_frame(pipe, [], StallModel(1.0))
 
     def test_channel_counts_match_the_frame(self):
         # the counts perfbench/tracing.py reads after a run, against numbers
