@@ -17,13 +17,12 @@ import sys
 import time
 
 from sobelsim import (
-    RgbImage,
     SobelConfig,
     StallModel,
     build_pipeline,
     edge_chain,
     estimate_resources,
-    rgb_frame,
+    rgb_bytes_frame,
     run_frame,
 )
 from sobelsim.blocks import HLS_DEPTH
@@ -34,10 +33,7 @@ QUICK_SWEEP = ((128, 128), (512, 512))
 
 def run_geometry(width, height, args):
     rng = random.Random(args.seed * 1_000_003 + width * 31 + height)
-    image = RgbImage(width, height,
-                     [(rng.randrange(256), rng.randrange(256), rng.randrange(256))
-                      for _ in range(width * height)])
-    frame = rgb_frame(image)
+    frame = rgb_bytes_frame(rng.randbytes(3 * width * height))
     config = SobelConfig(width, height, magnitude_mode=args.magnitude)
     stalls = StallModel(args.stall_prob, args.seed)
 

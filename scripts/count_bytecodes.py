@@ -15,10 +15,10 @@ collections it triggers (after a gc.collect(), through gc.callbacks);
 allocation churn shows there and not in the bytecodes.  A second table
 splits each row's bytecodes per cycle by the function that ran them: the
 elements' ticks, the generated cycle loop, sobel_kernel, _validate_frame,
-and everything else (run_frame itself, the elements' and channels'
-resets, and any Channel or LineBuffer method).  All the
-figures repeat exactly for a given Python version and seed, so they
-compare two versions of the program without the noise of host timings.
+and everything else (run_frame itself, the elements', channels' and row
+RAMs' resets, and any Channel method).  All the figures repeat exactly
+for a given Python version and seed, so they compare two versions of the
+program without the noise of host timings.
 
 Example:
     python scripts/count_bytecodes.py                 # 32x32, seed 1

@@ -50,22 +50,17 @@ class ConfigMismatchError(RuntimeError):
 class LineBuffer:
     """One row of pixels modelled as a dual-port RAM of `depth` byte cells.
 
-    The discipline check mirrors the physical part: at most one read and
-    one write per simulated cycle.  read() and write() take the caller's
-    cycle number `now`, a count from 0 that never repeats between resets,
-    and a second access of one kind in the same cycle is a ProtocolError.
-
-    The Sobel cores use their RAMs in place, without a call per access, and
-    keep every check: a read tests _read_at against now first and calls
-    read() on a clash (so read raises the port error), then stamps
-    _read_at with now and indexes cells; a write does the same with
-    _write_at and write().  A read and a write of one cell in one cycle
-    tests both ports first and, on a clash, calls read() and then write(),
-    so the read port raises first.  read() and write() remain the API for
-    everything else.
+    The physical part allows at most one read and one write per simulated
+    cycle.  The Sobel cores index `cells` in place and keep that rule with
+    the two port stamps: before a read, a core tests _read_at against its
+    cycle number (a count from 0 that never repeats between resets), raises
+    ProtocolError(SECOND_READ) if they match, and stamps _read_at with it;
+    a write does the same with _write_at and SECOND_WRITE.
     """
 
     __slots__ = ("depth", "cells", "_read_at", "_write_at")
+    SECOND_READ = "second read on a single-read-port line buffer"
+    SECOND_WRITE = "second write on a single-write-port line buffer"
 
     def __init__(self, depth: int):
         if not isinstance(depth, int):
@@ -74,18 +69,6 @@ class LineBuffer:
             raise ValueError("line buffer depth must be at least 3")
         self.depth = depth
         self.reset()
-
-    def read(self, col: int, now: int) -> int:
-        if now == self._read_at:
-            raise ProtocolError("second read on a single-read-port line buffer")
-        self._read_at = now
-        return self.cells[col]
-
-    def write(self, col: int, value: int, now: int):
-        if now == self._write_at:
-            raise ProtocolError("second write on a single-write-port line buffer")
-        self._write_at = now
-        self.cells[col] = value
 
     def reset(self):
         self.cells = bytearray(self.depth)
@@ -349,7 +332,7 @@ class SobelHdlPE(_SobelCore):
                 _, a1, a2, _, b1, b2, _, c1, c2 = self._window
                 win = self._window = (a1, a2, above2, b1, b2, above1, c1, c2, pixel)
                 if ram2._write_at == now:  # the RAM port in place: see LineBuffer
-                    ram2.write(col, pixel, now)
+                    raise ProtocolError(LineBuffer.SECOND_WRITE)
                 ram2._write_at = now
                 ram2.cells[col] = pixel
                 # the window now covers rows row-2..row, cols col-2..col,
@@ -372,12 +355,9 @@ class SobelHdlPE(_SobelCore):
                 col = idx % w
                 row = idx // w
                 ram2, ram1 = self._ram_pairs[row & 1]  # the RAM ports in place: see LineBuffer
-                if ram2._read_at == now:
-                    ram2.read(col, now)
-                ram2._read_at = now
-                if ram1._read_at == now:
-                    ram1.read(col, now)
-                ram1._read_at = now
+                if ram2._read_at == now or ram1._read_at == now:
+                    raise ProtocolError(LineBuffer.SECOND_READ)
+                ram2._read_at = ram1._read_at = now
                 self._s1 = (idx - w - 1, data, row, col, ram2.cells[col], ram1.cells[col], ram2)
                 self._in_idx = idx + 1
                 if trace is not None:
@@ -452,21 +432,23 @@ class SobelHlsPE(_SobelCore):
                     raise self._length_error(idx)
                 col = idx % self._w
                 row = idx // self._w
-                top, mid, bot = self._lb  # the RAM ports in place: see LineBuffer
-                if bot._read_at == now or bot._write_at == now:
-                    bot.read(col, now)
-                    bot.write(col, pixel, now)
+                top, mid, bot = self._lb  # the RAM ports in place, in call order: see LineBuffer
+                if bot._read_at == now:
+                    raise ProtocolError(LineBuffer.SECOND_READ)
+                if bot._write_at == now:
+                    raise ProtocolError(LineBuffer.SECOND_WRITE)
                 bot._read_at = bot._write_at = now
                 bot_old = bot.cells[col]
                 bot.cells[col] = pixel
-                if mid._read_at == now or mid._write_at == now:
-                    mid.read(col, now)
-                    mid.write(col, bot_old, now)
+                if mid._read_at == now:
+                    raise ProtocolError(LineBuffer.SECOND_READ)
+                if mid._write_at == now:
+                    raise ProtocolError(LineBuffer.SECOND_WRITE)
                 mid._read_at = mid._write_at = now
                 mid_old = mid.cells[col]
                 mid.cells[col] = bot_old
                 if top._write_at == now:
-                    top.write(col, mid_old, now)
+                    raise ProtocolError(LineBuffer.SECOND_WRITE)
                 top._write_at = now
                 top.cells[col] = mid_old
                 _, a1, a2, _, b1, b2, _, c1, c2 = self._window
@@ -514,13 +496,17 @@ def edge_chain(variant: str, config: SobelConfig, pipeline_depth: int = HLS_DEPT
 def rgb_bytes_frame(rgb) -> tuple:
     """24-bit payloads, (r << 16) | (g << 8) | b, of r, g, b bytes in raster order.
 
-    Raises ValueError unless rgb holds a whole, non-zero number of triples.
+    Raises ValueError unless rgb holds a whole, non-zero number of triples
+    of integers within 0..255.
     """
     count, rest = divmod(len(rgb), 3)
     if not count or rest:
         raise ValueError(f"RGB bytes must hold whole (r, g, b) triples, got {len(rgb)} bytes")
     words = bytearray(4 * count)  # little-endian words: b, g, r, 0
-    words[2::4], words[1::4], words[0::4] = rgb[0::3], rgb[1::3], rgb[2::3]
+    try:
+        words[2::4], words[1::4], words[0::4] = rgb[0::3], rgb[1::3], rgb[2::3]
+    except (TypeError, ValueError):  # a str, or a value that is no byte
+        raise ValueError("RGB bytes must be integers within 0..255") from None
     return struct.unpack(f"<{count}I", words)
 
 

@@ -152,7 +152,7 @@ def encode_bmp(width: int, height: int, rgb) -> bytes:
     """Encode r, g, b bytes in top-to-bottom raster order as a bottom-up 24-bpp BMP.
 
     ValueError unless both dimensions are positive integers and rgb holds
-    3 * width * height bytes.
+    3 * width * height integers within 0..255.
     """
     _check_dimensions(width, height)
     row_bytes = 3 * width
@@ -164,7 +164,10 @@ def encode_bmp(width: int, height: int, rgb) -> bytes:
     header = struct.pack("<2sIHHIIiiHHIIiiII", b"BM", HEADER_SIZE + image_size, 0, 0, HEADER_SIZE,
                          40, width, height, 1, 24, 0, image_size, 2835, 2835, 0, 0)
     pad = bytes(stride - row_bytes)
-    bgr = bytearray(rgb)
+    try:
+        bgr = bytearray(rgb)
+    except (TypeError, ValueError):  # a str, or a value that is no byte
+        raise ValueError("RGB bytes must be integers within 0..255") from None
     bgr[0::3], bgr[2::3] = bgr[2::3], bgr[0::3]
     rows = memoryview(bgr)
     bottom_up = (rows[y * row_bytes : (y + 1) * row_bytes] for y in reversed(range(height)))

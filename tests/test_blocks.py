@@ -5,6 +5,7 @@ never against each other alone, so a shared systematic bug cannot pass.
 Latency facts are pinned through the cores' event traces.
 """
 
+import itertools
 import math
 import random
 import re
@@ -121,27 +122,13 @@ class TestLineBuffer:
         with pytest.raises(ValueError, match=message):
             LineBuffer(depth)
 
-    def test_read_write_cells(self):
-        lb = LineBuffer(8)
-        lb.write(5, 200, 0)
-        assert lb.read(5, 0) == 200
-
-    def test_dual_port_discipline(self):
-        lb = LineBuffer(8)
-        lb.read(0, 0)
-        with pytest.raises(ProtocolError):
-            lb.read(1, 0)
-        lb.write(0, 1, 1)
-        with pytest.raises(ProtocolError):
-            lb.write(1, 2, 1)
-        lb.read(1, 1)  # each port is free again in the next cycle
-        lb.write(1, 2, 2)
-
     def test_reset_clears_cells(self):
         lb = LineBuffer(4)
-        lb.write(0, 9, 0)
+        lb.cells[:] = b"\x09\x08\x07\x06"
+        lb._read_at, lb._write_at = 5, 6
         lb.reset()
-        assert lb.read(0, 0) == 0
+        assert lb.cells == bytearray(4)
+        assert (lb._read_at, lb._write_at) == (-1, -1)  # both ports free from cycle 0
 
 
 class TestMagnitude:
@@ -373,6 +360,11 @@ class TestRgb2Gray:
     def test_rgb_bytes_frame_rejects_partial_triples(self, size):
         with pytest.raises(ValueError, match=f"whole \\(r, g, b\\) triples, got {size} bytes"):
             rgb_bytes_frame(bytes(size))
+
+    @pytest.mark.parametrize("rgb", ["abc", [1, 2, None], [1, 2, 256], [1.5, 2, 3]])
+    def test_rgb_bytes_frame_rejects_rgb_that_is_not_byte_values(self, rgb):
+        with pytest.raises(ValueError, match="^RGB bytes must be integers within 0..255$"):
+            rgb_bytes_frame(rgb)
 
     @pytest.mark.parametrize("value", [256, -1, 1.5, "1"])
     def test_gray_frame_rejects_a_value_that_is_not_a_byte(self, value):
@@ -837,8 +829,9 @@ def tick_through(pe, frame, cycles, stamps=()):
 
 
 class TestRamPortsInPlace:
-    """The Sobel cores use their row RAMs in place (see LineBuffer), with
-    read's and write's port checks and stamps."""
+    """The Sobel cores use their row RAMs in place (see LineBuffer): each
+    access stamps its port, and a port already stamped in the same cycle
+    raises LineBuffer's message for it, in the cores' call order."""
 
     W, H = 5, 4
     FRAME = bytes(range(0, 240, 12))
@@ -888,30 +881,20 @@ class TestRamPortsInPlace:
         with pytest.raises(ProtocolError, match=f"^{message}$"):
             tick_through(pe, self.FRAME, cycle + 1, list(used[cycle]))
 
-    @pytest.mark.parametrize("full_chain", [False, True])
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_run_frame_calls_no_line_buffer_method(self, variant, full_chain):
-        rng = random.Random(6)
-        if full_chain:
-            pipe = build_pipeline(edge_chain(variant, SobelConfig(5, 4)))
-            frame = rgb_frame(random_rgb(rng, 5, 4))
-        else:
-            pipe = build_pipeline([sobel_pe(variant, SobelConfig(5, 4))])
-            frame = gray_frame(random_gray(rng, 5, 4))
-        entered = set()
-
-        def profile(frame_, event, arg):
-            if event == "call":
-                entered.add(frame_.f_code)
-
-        sys.setprofile(profile)
-        try:
-            run_frame(pipe, frame)
-        finally:
-            sys.setprofile(None)
-        assert blocks.sobel_kernel.__code__ in entered
-        for method in (LineBuffer.read, LineBuffer.write):
-            assert method.__code__ not in entered, method.__name__
+    @pytest.mark.parametrize("variant, order", [
+        # stage 2 writes one RAM, then stage 1 reads both
+        ("hdl", [(0, "write"), (1, "write"), (0, "read"), (1, "read")]),
+        # bot (RAM 2) is read and written, then mid (1), then top (0) is written
+        ("hls", [(2, "read"), (2, "write"), (1, "read"), (1, "write"), (0, "write")]),
+    ], ids=VARIANTS)
+    def test_each_pair_of_claimed_ports_raises_the_first_in_call_order(self, variant, order):
+        pe, used = self.ports_per_cycle(variant)
+        cycle = max(range(len(used)), key=lambda c: len(used[c]))  # the busiest tick
+        ports = sorted(used[cycle], key=order.index)
+        assert len(ports) == {"hdl": 3, "hls": 5}[variant]
+        for first, second in itertools.combinations(ports, 2):
+            with pytest.raises(ProtocolError, match=f"^{PORT_ERRORS[first[1]]}$"):
+                tick_through(pe, self.FRAME, cycle + 1, [first, second])
 
 
 class TestConfigurationProperty:

@@ -474,8 +474,14 @@ class TestWorkers:
         monkeypatch.setattr(os, "fork", interrupted_fork)
         monkeypatch.setattr(os, "pipe", recorded_pipe)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        with pytest.raises(KeyboardInterrupt):
-            main(compare_args(tmp_path))
+        # a process started with SIGINT ignored, such as a shell's background
+        # job, would raise nothing, so install Python's default handler
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                main(compare_args(tmp_path))
+        finally:
+            signal.signal(signal.SIGINT, previous)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert len(pipes) == 2  # the first worker's pipe

@@ -169,6 +169,11 @@ class TestEncode:
         with pytest.raises(ValueError, match=f"expected 18 RGB bytes, got {size}"):
             encode_bmp(3, 2, bytes(size))
 
+    @pytest.mark.parametrize("rgb", ["abc", [1, 2, None], [1, 2, 256], [1.5, 2, 3]])
+    def test_encode_rejects_rgb_that_is_not_byte_values(self, rgb):
+        with pytest.raises(ValueError, match="^RGB bytes must be integers within 0..255$"):
+            encode_bmp(1, 1, rgb)
+
     @pytest.mark.parametrize("width,height", [(0, 1), (1, 0), (-1, 1)])
     def test_encode_rejects_a_dimension_below_one(self, width, height):
         with pytest.raises(ValueError, match="dimensions must be positive"):
