@@ -496,9 +496,11 @@ def edge_chain(variant: str, config: SobelConfig, pipeline_depth: int = HLS_DEPT
 def rgb_bytes_frame(rgb) -> tuple:
     """24-bit payloads, (r << 16) | (g << 8) | b, of r, g, b bytes in raster order.
 
-    Raises ValueError unless rgb holds a whole, non-zero number of triples
-    of integers within 0..255.
+    Raises ValueError unless rgb is a sequence of a whole, non-zero number
+    of triples of integers within 0..255.
     """
+    if not hasattr(rgb, "__len__"):  # 5, True, None or an iterator; bytes(5) is five zeros
+        raise ValueError("RGB bytes must be integers within 0..255")
     count, rest = divmod(len(rgb), 3)
     if not count or rest:
         raise ValueError(f"RGB bytes must hold whole (r, g, b) triples, got {len(rgb)} bytes")

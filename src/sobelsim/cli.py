@@ -5,8 +5,9 @@ Three commands:
 * ``process``  -- run one core over a BMP and write the edge image.
 * ``compare``  -- run both cores over the same BMP, write both edge images
   and a comparison report; exits 3 if the outputs differ by even one bit.
-* ``bench``    -- sweep sink stall probabilities {0, 0.25, 0.5} over a
-  seeded synthetic frame and write per-run cycle statistics as CSV.
+* ``bench``    -- run both cores as ``compare`` does at sink stall
+  probabilities {0, 0.25, 0.5} over a seeded synthetic frame and write
+  per-run cycle statistics as CSV; exits 3 if a core's output changes.
 
 Exit codes: 0 success (and, for compare, bit-identical outputs); 1 usage,
 file or configuration problems; 2 simulated deadlock; 3 output mismatch.
@@ -254,21 +255,19 @@ def cmd_compare(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    """Run both cores as compare does at each of BENCH_STALL_PROBS; exits 3,
+    writing no report, if a core's gray bytes differ from its own at 0."""
     # both cores check their settings before any frame is built
-    pipelines = [(variant, _edge_pipeline(variant, args.width, args.height, args))
-                 for variant in ("hdl", "hls")]
-    rng = random.Random(args.seed)
-    rgb = bytes(rng.randrange(256) for _ in range(3 * args.width * args.height))
-    frame = rgb_bytes_frame(rgb)
-
+    pipelines = [_edge_pipeline(v, args.width, args.height, args) for v in ("hdl", "hls")]
+    byte_count = args.width * args.height
+    frame = rgb_bytes_frame(random.Random(args.seed).randbytes(3 * byte_count))
+    # one (gray bytes, stats) per stall probability for hdl, then for hls
+    runs = zip(*(_run_each(pipelines, frame, byte_count, StallModel(prob, args.seed))
+                 for prob in BENCH_STALL_PROBS))
     lines = [BENCH_CSV_HEADER]
-    for variant, pipeline in pipelines:
-        baseline = None
-        for prob in BENCH_STALL_PROBS:
-            beats, stats = run_frame(pipeline, frame, StallModel(prob, args.seed))
-            if baseline is None:
-                baseline = beats
-            elif beats != baseline:
+    for variant, results in zip(("hdl", "hls"), runs):
+        for prob, (gray, stats) in zip(BENCH_STALL_PROBS, results):
+            if gray != results[0][0]:
                 print(f"{variant}: output changed under stall probability "
                       f"{prob}", file=sys.stderr)
                 return 3

@@ -151,11 +151,13 @@ def read_bmp(data: bytes) -> RgbImage:
 def encode_bmp(width: int, height: int, rgb) -> bytes:
     """Encode r, g, b bytes in top-to-bottom raster order as a bottom-up 24-bpp BMP.
 
-    ValueError unless both dimensions are positive integers and rgb holds
-    3 * width * height integers within 0..255.
+    ValueError unless both dimensions are positive integers and rgb is a
+    sequence of 3 * width * height integers within 0..255.
     """
     _check_dimensions(width, height)
     row_bytes = 3 * width
+    if not hasattr(rgb, "__len__"):  # 5, True, None or an iterator; bytes(5) is five zeros
+        raise ValueError("RGB bytes must be integers within 0..255")
     if len(rgb) != row_bytes * height:
         raise ValueError(f"expected {row_bytes * height} RGB bytes, got {len(rgb)}")
     stride = row_stride(width)
@@ -179,13 +181,9 @@ def write_bmp(image: RgbImage) -> bytes:
     return encode_bmp(image.width, image.height, rgb_bytes(image))
 
 
-_GRAY_TRIPLES = tuple((v, v, v) for v in range(256))
-
-
 def gray_to_rgb(image: GrayImage) -> RgbImage:
     """Replicate each intensity into an (v, v, v) triple; ValueError as gray_bytes."""
-    pixels = list(map(_GRAY_TRIPLES.__getitem__, gray_bytes(image)))
-    return RgbImage(image.width, image.height, pixels)
+    return RgbImage(image.width, image.height, [(v, v, v) for v in gray_bytes(image)])
 
 
 def hamming_distance(a, b) -> int:

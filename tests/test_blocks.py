@@ -361,7 +361,9 @@ class TestRgb2Gray:
         with pytest.raises(ValueError, match=f"whole \\(r, g, b\\) triples, got {size} bytes"):
             rgb_bytes_frame(bytes(size))
 
-    @pytest.mark.parametrize("rgb", ["abc", [1, 2, None], [1, 2, 256], [1.5, 2, 3]])
+    # rgb with no length is refused too, never read as bytes(5), five zeros
+    @pytest.mark.parametrize("rgb", ["abc", [1, 2, None], [1, 2, 256], [1.5, 2, 3],
+                                     5, True, None, iter(b"abc")])
     def test_rgb_bytes_frame_rejects_rgb_that_is_not_byte_values(self, rgb):
         with pytest.raises(ValueError, match="^RGB bytes must be integers within 0..255$"):
             rgb_bytes_frame(rgb)

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from sobelsim import (
+    Beat,
     DeadlockError,
     GrayImage,
     RgbImage,
@@ -33,7 +34,8 @@ from sobelsim import (
 )
 from sobelsim import cli
 from sobelsim.cli import BENCH_CSV_HEADER, main
-from sobelsim.image_io import decode_bmp
+from sobelsim.blocks import SobelHlsPE
+from sobelsim.image_io import decode_bmp, encode_bmp
 
 
 def write_input(path, width, height, pixel_fn):
@@ -214,8 +216,7 @@ class TestBench:
             else:
                 assert int(stalls) > 0
         # the last four fields of each row are run_frame's CycleStats, in order
-        rng = random.Random(11)
-        frame = rgb_bytes_frame(bytes(rng.randrange(256) for _ in range(3 * 16 * 12)))
+        frame = rgb_bytes_frame(random.Random(11).randbytes(3 * 16 * 12))
         for row in rows:
             pipeline = build_pipeline(edge_chain(row[0], SobelConfig(16, 12)))
             _, stats = run_frame(pipeline, frame, StallModel(float(row[1]), 11))
@@ -247,8 +248,8 @@ class TestBench:
 
     def test_frame_holds_the_seeded_per_pixel_draw(self, tmp_path, monkeypatch):
         # the cores' cycle counts do not depend on the data, so no CSV can
-        # show which raster bench ran; its bytes are the seed's (r, g, b)
-        # draws, pixel by pixel in raster order
+        # show which raster bench ran; its bytes are one draw of the seed's
+        # r, g, b bytes, pixel by pixel in raster order
         seen = []
 
         def spy(rgb):
@@ -258,10 +259,7 @@ class TestBench:
         monkeypatch.setattr(cli, "rgb_bytes_frame", spy)
         assert main(["bench", "--width", "5", "--height", "4", "--seed", "11",
                      "--report", str(tmp_path / "bench.csv")]) == 0
-        rng = random.Random(11)
-        pixels = [(rng.randrange(256), rng.randrange(256), rng.randrange(256))
-                  for _ in range(5 * 4)]
-        assert seen == [bytes(c for pixel in pixels for c in pixel)]
+        assert seen == [random.Random(11).randbytes(3 * 5 * 4)]
 
 
 def main_reaped(argv) -> int:
@@ -294,9 +292,28 @@ def compare_args(tmp_path, *flags):
             "--report", str(tmp_path / "cmp"), *flags]
 
 
+def bench_args(tmp_path, *flags):
+    return ["bench", "--width", "16", "--height", "8", "--seed", "1",
+            "--report", str(tmp_path / "bench.csv"), *flags]
+
+
 class TestWorkers:
-    """compare gives the same files, stderr and exit codes whether each core
-    runs in a forked worker or in this process."""
+    """compare and bench give the same files, stderr and exit codes whether
+    hls runs in a forked worker or in this process."""
+
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        """The pids of the workers that os.fork starts during the test."""
+        fork, pids = os.fork, []
+
+        def recorded_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        return pids
 
     @pytest.fixture(autouse=True)
     def alarm(self):
@@ -419,15 +436,7 @@ class TestWorkers:
         assert time.monotonic() - start < 10  # the worker was stopped, not awaited
         assert capsys.readouterr().err == "sobelsim: error: hdl core failed\n"
 
-    def test_hls_runs_in_the_one_worker_and_hdl_here(self, tmp_path, monkeypatch):
-        fork, forked = os.fork, []
-
-        def recorded_fork():
-            pid = fork()
-            if pid:
-                forked.append(pid)
-            return pid
-
+    def test_hls_runs_in_the_one_worker_and_hdl_here(self, tmp_path, monkeypatch, forked):
         run_core, log = cli._run_core, tmp_path / "pids"
 
         def logged_core(pipeline, *args):
@@ -435,7 +444,6 @@ class TestWorkers:
                 fh.write(f"{pipeline.elements[1].name} {os.getpid()}\n")
             return run_core(pipeline, *args)
 
-        monkeypatch.setattr(os, "fork", recorded_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(cli, "_run_core", logged_core)
         assert main_reaped(compare_args(tmp_path)) == 0
@@ -544,6 +552,52 @@ class TestWorkers:
         assert main_reaped(compare_args(tmp_path, "--stall-prob", "0.3")) == 0
         report = json.loads((tmp_path / "cmp").read_text())
         assert ticks == {v: report[v]["total_cycles"] + 1 for v in ("hdl", "hls")}
+
+    def test_hls_worker_error_keeps_its_type_and_message(self, tmp_path, capsys, monkeypatch,
+                                                         affinity, forked):
+        def failing_tick(self, pin, pout):
+            raise ValueError("hls tick failed")
+
+        # patched on the class, not the instance, so a worker is still forked
+        monkeypatch.setattr(SobelHlsPE, "tick", failing_tick)
+        assert main_reaped(compare_args(tmp_path)) == 1
+        assert capsys.readouterr().err == "sobelsim: error: hls tick failed\n"
+        assert not (tmp_path / "cmp").exists()
+        assert len(forked) == (len(os.sched_getaffinity(0)) >= 2)
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--hls-depth", "2"],
+        ["--hls-depth", "9", "--magnitude", "exact"],
+    ], ids=["default", "shallow", "deep_exact"])
+    def test_bench_same_output_on_both_paths(self, tmp_path, capsys, monkeypatch, forked,
+                                             flags):
+        outcomes = []
+        for path, cpus in (("workers", {0, 1}), ("one_cpu", {0})):
+            out = tmp_path / path
+            out.mkdir()
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+                rc = main_reaped(bench_args(out, *flags))
+            outcomes.append((rc, capsys.readouterr().err, (out / "bench.csv").read_bytes()))
+            # one hls worker per stall probability, and none on one CPU
+            assert len(forked) == 3, path
+        assert outcomes[0][:2] == (0, "bench: 6 runs of 16x8\n")
+        assert outcomes[0] == outcomes[1]
+
+    def test_bench_output_changed_under_stalls(self, tmp_path, capsys, monkeypatch, affinity):
+        run_frame = cli.run_frame
+
+        def flipped(pipeline, frame, stalls):
+            beats, stats = run_frame(pipeline, frame, stalls)
+            if stalls.probability == 0.5 and pipeline.elements[1].name == "sobel_hls":
+                beats = [Beat(beats[0].data ^ 1, beats[0].last), *beats[1:]]
+            return beats, stats
+
+        monkeypatch.setattr(cli, "run_frame", flipped)
+        assert main_reaped(bench_args(tmp_path)) == 3
+        assert capsys.readouterr().err == "hls: output changed under stall probability 0.5\n"
+        assert not (tmp_path / "bench.csv").exists()
 
     def test_settings_checked_before_any_run(self, tmp_path, capsys, monkeypatch, affinity):
         calls = []
@@ -662,10 +716,8 @@ def test_compare_large_geometries(tmp_path, geometry):
 
     width, height = geometry
     rng = random.Random(width * 100003 + height)
-    pixels = [(rng.randrange(256), rng.randrange(256), rng.randrange(256))
-              for _ in range(width * height)]
     src = tmp_path / "in.bmp"
-    src.write_bytes(write_bmp(RgbImage(width, height, pixels)))
+    src.write_bytes(encode_bmp(width, height, rng.randbytes(3 * width * height)))
     report = tmp_path / "cmp.json"
     rc = main(["compare", "--input", str(src),
                "--output", str(tmp_path / "edges.bmp"),

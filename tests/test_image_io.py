@@ -169,7 +169,9 @@ class TestEncode:
         with pytest.raises(ValueError, match=f"expected 18 RGB bytes, got {size}"):
             encode_bmp(3, 2, bytes(size))
 
-    @pytest.mark.parametrize("rgb", ["abc", [1, 2, None], [1, 2, 256], [1.5, 2, 3]])
+    # rgb with no length is refused too, never read as bytes(5), five zeros
+    @pytest.mark.parametrize("rgb", ["abc", [1, 2, None], [1, 2, 256], [1.5, 2, 3],
+                                     5, True, None, iter(b"abc")])
     def test_encode_rejects_rgb_that_is_not_byte_values(self, rgb):
         with pytest.raises(ValueError, match="^RGB bytes must be integers within 0..255$"):
             encode_bmp(1, 1, rgb)
