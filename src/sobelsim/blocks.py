@@ -36,7 +36,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Optional
 
-from .image_io import GrayImage, RgbImage, gray_bytes, rgb_bytes
+from .image_io import RgbImage, byte_values, gray_bytes, rgb_bytes
 from .stream import BYTE_BEATS, ProcessingElement, ProtocolError
 
 
@@ -499,16 +499,12 @@ def rgb_bytes_frame(rgb) -> tuple:
     Raises ValueError unless rgb is a sequence of a whole, non-zero number
     of triples of integers within 0..255.
     """
-    if not hasattr(rgb, "__len__"):  # 5, True, None or an iterator; bytes(5) is five zeros
-        raise ValueError("RGB bytes must be integers within 0..255")
+    rgb = byte_values(rgb, "RGB bytes")
     count, rest = divmod(len(rgb), 3)
     if not count or rest:
         raise ValueError(f"RGB bytes must hold whole (r, g, b) triples, got {len(rgb)} bytes")
     words = bytearray(4 * count)  # little-endian words: b, g, r, 0
-    try:
-        words[2::4], words[1::4], words[0::4] = rgb[0::3], rgb[1::3], rgb[2::3]
-    except (TypeError, ValueError):  # a str, or a value that is no byte
-        raise ValueError("RGB bytes must be integers within 0..255") from None
+    words[2::4], words[1::4], words[0::4] = rgb[0::3], rgb[1::3], rgb[2::3]
     return struct.unpack(f"<{count}I", words)
 
 
@@ -517,9 +513,7 @@ def rgb_frame(image: RgbImage) -> tuple:
     return rgb_bytes_frame(rgb_bytes(image))
 
 
-def gray_frame(image: GrayImage) -> bytes:
-    """A GrayImage's 8-bit payloads, which are its gray_bytes; ValueError as gray_bytes."""
-    return gray_bytes(image)
+gray_frame = gray_bytes  # a GrayImage's 8-bit payloads are its bytes
 
 
 def unpack_words(beats, byte_count: int) -> bytes:

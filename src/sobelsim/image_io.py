@@ -47,10 +47,13 @@ class _Raster:
 
     def __post_init__(self):
         _check_dimensions(self.width, self.height)
-        if len(self.pixels) != self.width * self.height:
-            raise ValueError(
-                f"expected {self.width * self.height} pixels, got {len(self.pixels)}"
-            )
+        try:
+            count = len(self.pixels)
+        except TypeError:  # 5, None or an iterator
+            kind = type(self.pixels).__name__
+            raise ValueError(f"pixels must be a sequence, not {kind}") from None
+        if count != self.width * self.height:
+            raise ValueError(f"expected {self.width * self.height} pixels, got {count}")
 
 
 class RgbImage(_Raster):
@@ -61,6 +64,14 @@ class GrayImage(_Raster):
     """Row-major, top-to-bottom raster of 8-bit intensities."""
 
 
+def byte_values(values, what: str) -> bytes:
+    """values as bytes; ValueError naming what unless a sequence of integers within 0..255."""
+    try:  # [:] refuses 5, True, None, an iterator, a set and a dict; bytes() a str or a non-byte
+        return bytes(values[:])  # a bytes argument comes back as it is, not copied
+    except (TypeError, ValueError, LookupError):  # a dict's [:] is a KeyError from 3.12 on
+        raise ValueError(f"{what} must be integers within 0..255") from None
+
+
 def rgb_bytes(image: RgbImage) -> bytes:
     """The r, g, b channel bytes of an RgbImage, in raster order.
 
@@ -68,23 +79,16 @@ def rgb_bytes(image: RgbImage) -> bytes:
     channel value that is not an integer within 0..255.
     """
     try:
-        lengths = set(map(len, image.pixels))
-    except TypeError:  # a pixel with no length, such as 5 or None
-        lengths = None
-    if lengths != {3}:
-        raise ValueError("every RGB pixel must be an (r, g, b) triple")
-    try:
-        return bytes(chain.from_iterable(image.pixels))
-    except (TypeError, ValueError):
-        raise ValueError("RGB channel values must be integers within 0..255") from None
+        if set(map(len, image.pixels)) == {3}:
+            return byte_values(list(chain.from_iterable(image.pixels)), "RGB channel values")
+    except TypeError:  # a pixel with no length, such as 5 or None, or with no items
+        pass
+    raise ValueError("every RGB pixel must be an (r, g, b) triple")
 
 
 def gray_bytes(image: GrayImage) -> bytes:
-    """The intensities of a GrayImage; ValueError unless each is an integer within 0..255."""
-    try:
-        return bytes(image.pixels)
-    except (TypeError, ValueError):
-        raise ValueError("gray intensities must be integers within 0..255") from None
+    """The intensities of a GrayImage, as byte_values checks them."""
+    return byte_values(image.pixels, "gray intensities")
 
 
 def row_stride(width: int) -> int:
@@ -155,9 +159,8 @@ def encode_bmp(width: int, height: int, rgb) -> bytes:
     sequence of 3 * width * height integers within 0..255.
     """
     _check_dimensions(width, height)
+    rgb = byte_values(rgb, "RGB bytes")
     row_bytes = 3 * width
-    if not hasattr(rgb, "__len__"):  # 5, True, None or an iterator; bytes(5) is five zeros
-        raise ValueError("RGB bytes must be integers within 0..255")
     if len(rgb) != row_bytes * height:
         raise ValueError(f"expected {row_bytes * height} RGB bytes, got {len(rgb)}")
     stride = row_stride(width)
@@ -166,10 +169,7 @@ def encode_bmp(width: int, height: int, rgb) -> bytes:
     header = struct.pack("<2sIHHIIiiHHIIiiII", b"BM", HEADER_SIZE + image_size, 0, 0, HEADER_SIZE,
                          40, width, height, 1, 24, 0, image_size, 2835, 2835, 0, 0)
     pad = bytes(stride - row_bytes)
-    try:
-        bgr = bytearray(rgb)
-    except (TypeError, ValueError):  # a str, or a value that is no byte
-        raise ValueError("RGB bytes must be integers within 0..255") from None
+    bgr = bytearray(rgb)
     bgr[0::3], bgr[2::3] = bgr[2::3], bgr[0::3]
     rows = memoryview(bgr)
     bottom_up = (rows[y * row_bytes : (y + 1) * row_bytes] for y in reversed(range(height)))

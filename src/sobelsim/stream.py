@@ -12,6 +12,7 @@ stall cycle absorbed without a bubble.
 
 from __future__ import annotations
 
+import functools
 import linecache
 import random
 from dataclasses import dataclass
@@ -245,7 +246,12 @@ def build_pipeline(elements, channel_capacity: int = 2) -> Pipeline:
 
 
 def _validate_frame(frame, payload_width: int):
-    if not frame:
+    try:
+        count = len(frame)
+    except TypeError:  # 5, None or an iterator, which the loop below would consume
+        kind = type(frame).__name__
+        raise ValueError(f"frame must be a sequence of payload integers, not {kind}") from None
+    if not count:
         raise ValueError("frame must contain at least one beat")
     if type(frame) is bytes:  # every byte fits every payload width
         return
@@ -328,27 +334,25 @@ _ELEMENT = Template("""\
         c$i.head = q$i[0] if q$i else None
         c$i.free = len(q$i) < capacity$i
 """)
-_LOOPS = {}  # element count -> its compiled cycle loop
 
 
+@functools.cache
 def _cycle_loop(n: int):
-    """run_frame's cycle loop for n elements, compiled on the first call."""
-    if n not in _LOOPS:
-        def names(pattern, count=n + 1, sep=", "):
-            return sep.join(pattern.format(i) for i in range(count))
+    """run_frame's cycle loop for n elements, compiled on the first call for n."""
+    def names(pattern, count=n + 1, sep=", "):
+        return sep.join(pattern.format(i) for i in range(count))
 
-        source = _CYCLE_LOOP.substitute(
-            n=n, ticks=names("tick{}", n), channels=names("c{}"), queues=names("q{}"),
-            capacities=names("capacity{}"), channel_queues=names("c{}._q"),
-            channel_capacities=names("c{}.capacity"), moves=names("c{}.moves", sep=" + "),
-            elements="".join(_ELEMENT.substitute(i=i, j=i + 1) for i in range(n)))
-        filename = f"<run_frame loop: {n} elements>"
-        # in linecache, so that a traceback through the loop shows its lines
-        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-        namespace = {}
-        exec(compile(source, filename, "exec"), globals(), namespace)
-        _LOOPS[n] = namespace["cycle_loop"]
-    return _LOOPS[n]
+    source = _CYCLE_LOOP.substitute(
+        n=n, ticks=names("tick{}", n), channels=names("c{}"), queues=names("q{}"),
+        capacities=names("capacity{}"), channel_queues=names("c{}._q"),
+        channel_capacities=names("c{}.capacity"), moves=names("c{}.moves", sep=" + "),
+        elements="".join(_ELEMENT.substitute(i=i, j=i + 1) for i in range(n)))
+    filename = f"<run_frame loop: {n} elements>"
+    # in linecache, so that a traceback through the loop shows its lines
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["cycle_loop"]
 
 
 def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_gray, random_rgb, run_sobel
-from sobelsim import blocks
+from sobelsim import blocks, image_io
 from sobelsim import (
     Beat,
     Channel,
@@ -34,6 +34,7 @@ from sobelsim import (
     U8ToU32PE,
     build_pipeline,
     edge_chain,
+    encode_bmp,
     gray_frame,
     magnitude,
     rgb2gray_frame_reference,
@@ -362,16 +363,34 @@ class TestRgb2Gray:
             rgb_bytes_frame(bytes(size))
 
     # rgb with no length is refused too, never read as bytes(5), five zeros
+    # nor is a set or a dict read by iteration, or by its keys
     @pytest.mark.parametrize("rgb", ["abc", [1, 2, None], [1, 2, 256], [1.5, 2, 3],
-                                     5, True, None, iter(b"abc")])
+                                     5, True, None, iter(b"abc"), {1, 2, 3}, {0: 1, 1: 2, 2: 3}])
     def test_rgb_bytes_frame_rejects_rgb_that_is_not_byte_values(self, rgb):
         with pytest.raises(ValueError, match="^RGB bytes must be integers within 0..255$"):
             rgb_bytes_frame(rgb)
+
+    # the byte values are checked before the length, so with both faults
+    # the byte-value error wins
+    @pytest.mark.parametrize("pack", [lambda rgb: encode_bmp(1, 1, rgb), rgb_bytes_frame],
+                             ids=["encode_bmp", "rgb_bytes_frame"])
+    @pytest.mark.parametrize("rgb", ["abcd", [1, 2, 3, 256]])
+    def test_byte_values_are_checked_before_the_length(self, pack, rgb):
+        with pytest.raises(ValueError, match="^RGB bytes must be integers within 0..255$"):
+            pack(rgb)
 
     @pytest.mark.parametrize("value", [256, -1, 1.5, "1"])
     def test_gray_frame_rejects_a_value_that_is_not_a_byte(self, value):
         with pytest.raises(ValueError, match="integers within 0..255"):
             gray_frame(GrayImage(3, 3, [0] * 8 + [value]))
+
+    @pytest.mark.parametrize("pixels", [{1, 2, 3}, {0: 1, 1: 2, 2: 3}])
+    def test_gray_frame_rejects_pixels_that_are_a_set_or_a_dict(self, pixels):
+        with pytest.raises(ValueError, match="^gray intensities must be integers within 0..255$"):
+            gray_frame(GrayImage(3, 1, pixels))
+
+    def test_gray_frame_is_gray_bytes(self):
+        assert blocks.gray_frame is image_io.gray_bytes
 
     def test_single_register_stage_latency(self):
         img = RgbImage(8, 1, [(9, 9, 9)] * 8)

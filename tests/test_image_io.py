@@ -170,8 +170,9 @@ class TestEncode:
             encode_bmp(3, 2, bytes(size))
 
     # rgb with no length is refused too, never read as bytes(5), five zeros
+    # nor is a set or a dict read by iteration, or by its keys
     @pytest.mark.parametrize("rgb", ["abc", [1, 2, None], [1, 2, 256], [1.5, 2, 3],
-                                     5, True, None, iter(b"abc")])
+                                     5, True, None, iter(b"abc"), {1, 2, 3}, {0: 1, 1: 2, 2: 3}])
     def test_encode_rejects_rgb_that_is_not_byte_values(self, rgb):
         with pytest.raises(ValueError, match="^RGB bytes must be integers within 0..255$"):
             encode_bmp(1, 1, rgb)
@@ -288,6 +289,14 @@ class TestRasterTypes:
         with pytest.raises(ValueError, match=message):
             GrayImage(w, h, [0] * 9)
 
+    @pytest.mark.parametrize("pixels, kind", [
+        (5, "int"), (None, "NoneType"), (iter([(1, 2, 3)]), "list_iterator")])
+    def test_pixels_with_no_length_rejected(self, pixels, kind):
+        with pytest.raises(ValueError, match=f"^pixels must be a sequence, not {kind}$"):
+            RgbImage(1, 1, pixels)
+        with pytest.raises(ValueError, match=f"^pixels must be a sequence, not {kind}$"):
+            GrayImage(1, 1, pixels)
+
     def test_gray_to_rgb_replicates(self):
         rgb = gray_to_rgb(GrayImage(2, 1, [0, 200]))
         assert rgb.pixels == [(0, 0, 0), (200, 200, 200)]
@@ -314,7 +323,11 @@ class TestRasterTypes:
                 flatten(bad)
 
 
-    @pytest.mark.parametrize("pixel", [5, None])
+    class NoItems:  # a pixel whose length says 3, but that holds no items
+        def __len__(self):
+            return 3
+
+    @pytest.mark.parametrize("pixel", [5, None, NoItems()])
     def test_a_pixel_with_no_length_is_not_a_triple(self, pixel):
         with pytest.raises(ValueError, match=r"every RGB pixel must be an \(r, g, b\) triple"):
             rgb_bytes(RgbImage(2, 1, [(1, 2, 3), pixel]))

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_gray, random_rgb
+from sobelsim import stream
 from sobelsim import (
     Beat,
     Channel,
@@ -251,6 +252,13 @@ class TestRunFrame:
         pipe = build_pipeline([PassThrough()])
         with pytest.raises(ValueError, match="frame must contain at least one beat"):
             run_frame(pipe, [])
+        with pytest.raises(ValueError, match="frame must contain at least one beat"):
+            run_frame(pipe, b"")
+        # a frame with no length is refused before anything reads it
+        for frame, kind in [(5, "int"), (None, "NoneType"), (iter([1, 2]), "list_iterator")]:
+            with pytest.raises(ValueError,
+                               match=f"^frame must be a sequence of payload integers, not {kind}$"):
+                run_frame(pipe, frame)
         with pytest.raises(ValueError, match="frame beat 0x12c exceeds 8-bit payload"):
             run_frame(pipe, [300])
         with pytest.raises(ValueError, match="frame beat -0x1 exceeds 8-bit payload"):
@@ -594,6 +602,17 @@ class TestCycleLoops:
         with pytest.raises(DeadlockError) as err:
             run_frame(build_pipeline(elements), LOOP_FRAME)
         assert str(err.value) == message
+
+    def test_a_loop_is_compiled_once_when_its_first_pipeline_is_built(self):
+        n = 23  # an element count no other test builds
+        info = stream._cycle_loop.cache_info
+        misses = info().misses
+        pipe = build_pipeline([PassThrough() for _ in range(n)])
+        assert info().misses == misses + 1
+        run_frame(pipe, LOOP_FRAME)
+        assert info().misses == misses + 1
+        build_pipeline([RegisterStage() for _ in range(n)])  # a second of that length
+        assert info().misses == misses + 1
 
     def test_traceback_names_the_loop(self):
         class Fails(PassThrough):
