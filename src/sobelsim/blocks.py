@@ -37,7 +37,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .image_io import RgbImage, byte_values, gray_bytes, rgb_bytes
-from .stream import BYTE_BEATS, ProcessingElement, ProtocolError
+from .stream import BYTE_BEATS, ProcessingElement, ProtocolError, int_value
 
 
 class ConfigMismatchError(RuntimeError):
@@ -63,11 +63,7 @@ class LineBuffer:
     SECOND_WRITE = "second write on a single-write-port line buffer"
 
     def __init__(self, depth: int):
-        if not isinstance(depth, int):
-            raise ValueError(f"line buffer depth must be an integer, got {depth!r}")
-        if depth < 3:
-            raise ValueError("line buffer depth must be at least 3")
-        self.depth = depth
+        self.depth = int_value(depth, "line buffer depth", 3)
         self.reset()
 
     def reset(self):
@@ -392,11 +388,7 @@ class SobelHlsPE(_SobelCore):
     row_rams = 3
 
     def __init__(self, config: SobelConfig, pipeline_depth: int = HLS_DEPTH):
-        if not isinstance(pipeline_depth, int):
-            raise ValueError(f"pipeline depth must be an integer, got {pipeline_depth!r}")
-        if pipeline_depth < 2:
-            raise ValueError("pipeline depth must be at least 2")
-        self.stage_count = pipeline_depth
+        self.stage_count = int_value(pipeline_depth, "pipeline depth", 2)
         super().__init__(config)
 
     def reset(self):
@@ -518,8 +510,7 @@ gray_frame = gray_bytes  # a GrayImage's 8-bit payloads are its bytes
 
 def unpack_words(beats, byte_count: int) -> bytes:
     """The first byte_count bytes of 32-bit word beats, each word little-endian."""
-    if not isinstance(byte_count, int):
-        raise ValueError(f"byte count must be an integer, got {byte_count!r}")
+    int_value(byte_count, "byte count")
     if not isinstance(beats, (list, tuple)):  # the errors below index it
         beats = list(beats)
     data = array("I")  # 4 bytes a word, where a list holds a pointer to an int

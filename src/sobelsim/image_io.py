@@ -100,9 +100,11 @@ def decode_bmp(data: bytes) -> tuple:
     """Decode a 24-bpp uncompressed BMP into (width, height, rgb).
 
     rgb holds each pixel's r, g, b bytes in top-to-bottom raster order, also
-    for a negative header height (rows stored top-down).  Raises
-    BadMagicError, UnsupportedFormatError or TruncatedError.
+    for a negative header height (rows stored top-down).  Raises ValueError
+    as byte_values does, then BadMagicError, UnsupportedFormatError or
+    TruncatedError.
     """
+    data = byte_values(data, "BMP data")  # bytes come back as they are
     if len(data) < 2:
         raise BadMagicError("file too short to hold a BMP magic")
     if data[:2] != b"BM":

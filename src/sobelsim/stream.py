@@ -54,6 +54,15 @@ class DeadlockError(RuntimeError):
     """No beat moved for longer than the watchdog allows, or the sink never takes one."""
 
 
+def int_value(value, what: str, floor=None):
+    """value; ValueError naming what unless it is an int, and at least floor when given."""
+    if not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if floor is not None and value < floor:
+        raise ValueError(f"{what} must be at least {floor}")
+    return value
+
+
 @dataclass(frozen=True)
 class StallModel:
     """Sink-side ready behaviour.
@@ -75,8 +84,7 @@ class StallModel:
                              f"got {self.probability!r}") from None
         if not in_range:
             raise ValueError("stall probability must be within [0, 1]")
-        if not isinstance(self.seed, int):  # None would seed from the OS
-            raise ValueError(f"stall seed must be an integer, got {self.seed!r}")
+        int_value(self.seed, "stall seed")  # None would seed from the OS
 
 
 NO_STALLS = StallModel()
@@ -121,12 +129,8 @@ class Channel:
     def __init__(self, payload_width: int, capacity: int = 2):
         if not isinstance(payload_width, int) or payload_width not in PAYLOAD_WIDTHS:
             raise ValueError(f"payload width must be one of {PAYLOAD_WIDTHS}")
-        if not isinstance(capacity, int):
-            raise ValueError(f"channel capacity must be an integer, got {capacity!r}")
-        if capacity < 1:
-            raise ValueError("channel capacity must be at least 1")
         self.payload_width = payload_width
-        self.capacity = capacity
+        self.capacity = int_value(capacity, "channel capacity", 1)
         self._q: list = []
         self.reset()
 
@@ -246,9 +250,10 @@ def build_pipeline(elements, channel_capacity: int = 2) -> Pipeline:
 
 
 def _validate_frame(frame, payload_width: int):
-    try:
+    try:  # 5, None or an iterator, which the loop below would consume, has no
+        frame[:0]  # length; a set, a dict or a deque no slice (a dict's is a KeyError from 3.12 on)
         count = len(frame)
-    except TypeError:  # 5, None or an iterator, which the loop below would consume
+    except (TypeError, LookupError):
         kind = type(frame).__name__
         raise ValueError(f"frame must be a sequence of payload integers, not {kind}") from None
     if not count:

@@ -114,7 +114,7 @@ class TestMasksAndConvolve:
 
 class TestLineBuffer:
     def test_minimum_depth(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^line buffer depth must be at least 3$"):
             LineBuffer(2)
 
     @pytest.mark.parametrize("depth", [3.0, 2.5, "3", None])

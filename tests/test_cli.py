@@ -596,7 +596,25 @@ class TestWorkers:
 
         monkeypatch.setattr(cli, "run_frame", flipped)
         assert main_reaped(bench_args(tmp_path)) == 3
-        assert capsys.readouterr().err == "hls: output changed under stall probability 0.5\n"
+        assert capsys.readouterr().err == ("hls: output under stall probability 0.5 "
+                                           "differs from hdl's under 0\n")
+        assert not (tmp_path / "bench.csv").exists()
+
+    def test_bench_checks_that_the_cores_agree(self, tmp_path, capsys, monkeypatch, affinity):
+        # hls differs from hdl under every stall probability, but equals its
+        # own output under 0, so only a check against hdl's bytes sees it
+        run_frame = cli.run_frame
+
+        def flipped(pipeline, frame, stalls):
+            beats, stats = run_frame(pipeline, frame, stalls)
+            if pipeline.elements[1].name == "sobel_hls":
+                beats = [Beat(beats[0].data ^ 1, beats[0].last), *beats[1:]]
+            return beats, stats
+
+        monkeypatch.setattr(cli, "run_frame", flipped)
+        assert main_reaped(bench_args(tmp_path)) == 3
+        assert capsys.readouterr().err == ("hls: output under stall probability 0.0 "
+                                           "differs from hdl's under 0\n")
         assert not (tmp_path / "bench.csv").exists()
 
     def test_settings_checked_before_any_run(self, tmp_path, capsys, monkeypatch, affinity):

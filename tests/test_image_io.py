@@ -90,6 +90,20 @@ class TestDecode:
         with pytest.raises(BadMagicError):
             read_bmp(b"B")
 
+    # data with no length is refused as data, not as a file too short to
+    # hold a magic
+    @pytest.mark.parametrize("data", [None, 5, iter(b"BM")], ids=["None", "int", "iterator"])
+    def test_data_that_is_not_byte_values(self, data):
+        for decode in (decode_bmp, read_bmp):
+            with pytest.raises(ValueError, match="^BMP data must be integers within 0..255$"):
+                decode(data)
+
+    def test_a_list_of_byte_values_decodes_as_its_bytes(self):
+        data = assemble_bmp(2, -2, [b"\x01\x02\x03\x04\x05\x06\x00\x00",
+                                    b"\x07\x08\x09\x0a\x0b\x0c\x00\x00"])
+        assert decode_bmp(list(data)) == decode_bmp(data) == (2, 2, bytes(
+            [3, 2, 1, 6, 5, 4, 9, 8, 7, 12, 11, 10]))
+
     def test_truncated_header(self):
         data = assemble_bmp(1, 1, [b"\xff\xff\xff\x00"])
         with pytest.raises(TruncatedError):

@@ -7,6 +7,7 @@ register stage adds one more.  Cycle numbers in CycleStats are the 0-based
 scheduler cycles in which the sink accepted a beat.
 """
 
+import collections
 import random
 import re
 
@@ -108,7 +109,7 @@ class TestChannel:
     def test_width_and_capacity_validation(self):
         with pytest.raises(ValueError):
             Channel(16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^channel capacity must be at least 1$"):
             Channel(8, capacity=0)
 
     @pytest.mark.parametrize("width", [8.0, 24.0, "8", None])
@@ -254,8 +255,12 @@ class TestRunFrame:
             run_frame(pipe, [])
         with pytest.raises(ValueError, match="frame must contain at least one beat"):
             run_frame(pipe, b"")
-        # a frame with no length is refused before anything reads it
-        for frame, kind in [(5, "int"), (None, "NoneType"), (iter([1, 2]), "list_iterator")]:
+        # a frame with no length is refused before anything reads it, and a
+        # set or a dict is not read by iteration, nor a dict by its keys; a
+        # deque, which has no slice, is refused with them
+        for frame, kind in [(5, "int"), (None, "NoneType"), (iter([1, 2]), "list_iterator"),
+                            ({1, 2}, "set"), ({0: 0x1FF, 1: 2}, "dict"),
+                            (collections.deque([1, 2]), "deque")]:
             with pytest.raises(ValueError,
                                match=f"^frame must be a sequence of payload integers, not {kind}$"):
                 run_frame(pipe, frame)
