@@ -44,6 +44,19 @@ MUTANTS = [
      "value < floor", "value <= floor", "tests/test_blocks.py"),
     ("bench", "cli.py",  # bench checks each core against its own bytes at 0
      "gray != runs[0][0][0]", "gray != results[0][0]", "tests/test_cli.py"),
+    ("sink_moves", "stream.py",  # the watchdog sums only the sink channel's moves
+     'moves=names("c{}.moves", sep=" + ")', 'moves=f"c{n}.moves"', "tests/test_stream.py"),
+    ("class_tick", "stream.py",  # ticks bound from the class, missing an instance's patch
+     "[pe.tick for pe in pipeline.elements]",
+     "[type(pe).tick.__get__(pe) for pe in pipeline.elements]", "tests/test_stream.py"),
+    ("packer", "blocks.py",  # the packer puts its first byte highest
+     "data << (8 * count)", "data << (8 * (3 - count))", "tests/test_blocks.py"),
+    ("byte_count", "cli.py",  # one gray byte too few unpacked
+     "unpack_words(words, len(frame))", "unpack_words(words, len(frame) - 1)",
+     "tests/test_cli.py"),
+    ("stats_order", "stream.py",  # the loop's CycleStats swap cycle and first_output
+     "(cycle, first_output, len(received), stall_cycles)",
+     "(first_output, cycle, len(received), stall_cycles)", "tests/test_stream.py"),
 ]
 
 # loaded into pytest with -p, before any test module builds its settings

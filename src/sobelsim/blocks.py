@@ -511,8 +511,11 @@ gray_frame = gray_bytes  # a GrayImage's 8-bit payloads are its bytes
 def unpack_words(beats, byte_count: int) -> bytes:
     """The first byte_count bytes of 32-bit word beats, each word little-endian."""
     int_value(byte_count, "byte count")
-    if not isinstance(beats, (list, tuple)):  # the errors below index it
-        beats = list(beats)
+    try:  # the errors below index the beats
+        beats = beats if isinstance(beats, (list, tuple)) else list(beats)
+    except TypeError:  # None or 5
+        raise ValueError(f"word beats must be an iterable of (data, last) pairs, "
+                         f"not {type(beats).__name__}") from None
     data = array("I")  # 4 bytes a word, where a list holds a pointer to an int
     try:
         data.extend(map(itemgetter(0), beats))

@@ -107,10 +107,10 @@ def _edge_pipeline(variant, width, height, args):
     return build_pipeline(edge_chain(variant, config, args.hls_depth))
 
 
-def _run_core(pipeline, frame, byte_count, stalls):
+def _run_core(pipeline, frame, stalls):
     """Simulate one edge pipeline over a frame; returns (gray bytes, stats)."""
     words, stats = run_frame(pipeline, frame, stalls)
-    return unpack_words(words, byte_count), stats
+    return unpack_words(words, len(frame)), stats  # one gray byte per frame word
 
 
 class WorkerError(ChildProcessError):
@@ -213,7 +213,7 @@ def cmd_process(args) -> int:
     width, height, rgb = _read_input(args.input)
     pipeline = _edge_pipeline(args.arch, width, height, args)
     stalls = StallModel(args.stall_prob, args.seed)
-    gray, stats = _run_core(pipeline, rgb_bytes_frame(rgb), width * height, stalls)
+    gray, stats = _run_core(pipeline, rgb_bytes_frame(rgb), stalls)
     _write_edges(args.output, width, height, gray)
     if args.report:
         resources = estimate_resources(args.arch, width, args.hls_depth)
@@ -232,7 +232,7 @@ def cmd_compare(args) -> int:
     stalls = StallModel(args.stall_prob, args.seed)
     pipelines = (hdl, _edge_pipeline("hls", width, height, args))
     (hdl_gray, hdl_stats), (hls_gray, hls_stats) = _run_each(
-        pipelines, rgb_bytes_frame(rgb), width * height, stalls)
+        pipelines, rgb_bytes_frame(rgb), stalls)
     report = build_report(
         hdl_stats,
         hls_stats,
@@ -259,10 +259,9 @@ def cmd_bench(args) -> int:
     writing no report, if any run's gray bytes differ from hdl's at 0."""
     # both cores check their settings before any frame is built
     pipelines = [_edge_pipeline(v, args.width, args.height, args) for v in ("hdl", "hls")]
-    byte_count = args.width * args.height
-    frame = rgb_bytes_frame(random.Random(args.seed).randbytes(3 * byte_count))
+    frame = rgb_bytes_frame(random.Random(args.seed).randbytes(3 * args.width * args.height))
     # one (gray bytes, stats) per stall probability for hdl, then for hls
-    runs = tuple(zip(*(_run_each(pipelines, frame, byte_count, StallModel(prob, args.seed))
+    runs = tuple(zip(*(_run_each(pipelines, frame, StallModel(prob, args.seed))
                        for prob in BENCH_STALL_PROBS)))
     lines = [BENCH_CSV_HEADER]
     for variant, results in zip(("hdl", "hls"), runs):

@@ -219,11 +219,11 @@ class Pipeline:
     """A linear chain source -> elements -> sink with one channel per hop."""
 
     def __init__(self, elements, channels):
-        self.elements = list(elements)
-        self.channels = list(channels)
-        self.wiring = list(zip(self.elements, self.channels[:-1], self.channels[1:]))
-        self.stage_count = sum(pe.stage_count for pe in self.elements)
-        _cycle_loop(len(self.wiring))  # compiled here, so a forked worker inherits it
+        self.elements = elements = list(elements)
+        self.channels = channels = list(channels)
+        self.wiring = list(zip(elements, channels[:-1], channels[1:]))  # for perfbench/tracing.py
+        self.stage_count = sum(pe.stage_count for pe in elements)
+        _cycle_loop(len(elements))  # compiled here, so a forked worker inherits it
 
     def reset(self):
         for ch in self.channels:
@@ -332,7 +332,8 @@ $elements
         if done:
             break
         cycle += 1
-    return received, cycle, first_output, stall_cycles
+    # CycleStats(*stats) without the Python-level NamedTuple.__new__
+    return received, tuple.__new__(CycleStats, (cycle, first_output, len(received), stall_cycles))
 """)
 _ELEMENT = Template("""\
         tick$i(c$i, c$j)
@@ -385,12 +386,8 @@ def run_frame(pipeline: Pipeline, frame, stalls: StallModel = NO_STALLS):
         raise DeadlockError(f"the sink stalls in every cycle (stall probability {probability})")
 
     # bound after the reset, so that a tick patched onto an instance is seen
-    ticks = [pe.tick for pe, _, _ in pipeline.wiring]
+    ticks = [pe.tick for pe in pipeline.elements]
     draw = random.Random(stalls.seed).random if probability > 0.0 else None
-    received, cycle, first_output, stall_cycles = _cycle_loop(len(ticks))(
+    return _cycle_loop(len(ticks))(
         frame, 10 * len(frame) + pipeline.stage_count, probability, draw,
         *ticks, *pipeline.channels)
-
-    # CycleStats(*stats) without the Python-level NamedTuple.__new__
-    stats = (cycle, first_output, len(received), stall_cycles)
-    return received, tuple.__new__(CycleStats, stats)

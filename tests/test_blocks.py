@@ -457,6 +457,12 @@ class TestU8ToU32:
         with pytest.raises(ValueError, match=r"word beat 7 is not a \(data, last\) pair"):
             unpack_words([Beat(1), (data, False), 7], 12)
 
+    @pytest.mark.parametrize("beats,kind", [(None, "NoneType"), (5, "int")])
+    def test_unpack_rejects_beats_that_are_not_iterable(self, beats, kind):
+        message = rf"word beats must be an iterable of \(data, last\) pairs, not {kind}$"
+        with pytest.raises(ValueError, match=message):
+            unpack_words(beats, 0)
+
     def test_unpack_takes_an_iterator(self):
         assert unpack_words(iter([(0x04030201, False), (5, True)]), 5) == bytes([1, 2, 3, 4, 5])
         with pytest.raises(ValueError, match=r"word beat 5 is not a \(data, last\) pair"):

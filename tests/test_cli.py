@@ -353,6 +353,34 @@ class TestWorkers:
         assert outcomes[0][0] == code
         assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.parametrize("platform,cpu_count,forks", [
+        ("no_fork", 2, 0),
+        ("no_affinity", 2, 1),
+        ("no_affinity", 1, 0),
+        ("no_affinity", None, 0),
+    ], ids=["no_fork", "cpu_count_2", "cpu_count_1", "cpu_count_none"])
+    def test_platform_fallbacks(self, tmp_path, capsys, monkeypatch, forked,
+                                platform, cpu_count, forks):
+        # with no os.fork both cores run here; with no os.sched_getaffinity
+        # a worker is forked only if os.cpu_count() gives two or more
+        outcomes = []
+        for path in ("real_affinity", platform):
+            out = tmp_path / path
+            out.mkdir()
+            with monkeypatch.context() as patch:
+                if path == "no_fork":
+                    patch.delattr(os, "fork")
+                elif path == "no_affinity":
+                    patch.delattr(os, "sched_getaffinity")
+                    patch.setattr(os, "cpu_count", lambda: cpu_count)
+                before = len(forked)
+                rc = main_reaped(compare_args(out, "--stall-prob", "0.2", "--seed", "4"))
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            outcomes.append((rc, capsys.readouterr().err, files))
+        assert len(forked) - before == forks
+        assert outcomes[0][0] == 0
+        assert outcomes[0] == outcomes[1]
+
     def test_serial_path_builds_the_frame_once(self, tmp_path, monkeypatch):
         built = []
 
@@ -393,7 +421,7 @@ class TestWorkers:
         ((DeadlockError, ValueError), 2),
     ], ids=["hdl_value_error", "hdl_deadlock"])
     def test_hdl_error_wins(self, tmp_path, capsys, monkeypatch, affinity, errors, code):
-        def failing_core(pipeline, frame, byte_count, stalls):
+        def failing_core(pipeline, frame, stalls):
             variant = pipeline.elements[1].name.split("_")[1]  # sobel_hdl, sobel_hls
             raise errors[variant == "hls"](f"{variant} core failed")
 
@@ -420,12 +448,12 @@ class TestWorkers:
         assert capsys.readouterr().err == f"sobelsim: error: {want}\n"
         pipelines = [build_pipeline(edge_chain(v, SobelConfig(3, 3))) for v in ("hdl", "hls")]
         with pytest.raises(cli.WorkerError, match=want):
-            cli._run_each(pipelines, rgb_bytes_frame(bytes(range(27))), 9, StallModel())
+            cli._run_each(pipelines, rgb_bytes_frame(bytes(range(27))), StallModel())
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_hdl_error_does_not_wait_for_hls(self, tmp_path, capsys, monkeypatch, affinity):
-        def core(pipeline, frame, byte_count, stalls):
+        def core(pipeline, frame, stalls):
             if pipeline.elements[1].name == "sobel_hdl":
                 raise ValueError("hdl core failed")
             time.sleep(30)
@@ -452,7 +480,7 @@ class TestWorkers:
         assert pids == {"sobel_hdl": str(os.getpid()), "sobel_hls": str(forked[0])}
 
     def test_interrupt_reaps_the_workers(self, tmp_path, monkeypatch, affinity, alarm):
-        def slow_core(pipeline, frame, byte_count, stalls):
+        def slow_core(pipeline, frame, stalls):
             time.sleep(30)
 
         monkeypatch.setattr(cli, "_run_core", slow_core)
