@@ -57,6 +57,10 @@ MUTANTS = [
     ("stats_order", "stream.py",  # the loop's CycleStats swap cycle and first_output
      "(cycle, first_output, len(received), stall_cycles)",
      "(first_output, cycle, len(received), stall_cycles)", "tests/test_stream.py"),
+    ("rgb_bits", "metrics.py",  # the report counts gray bits, not the RGB images' bits
+     "bits = 3 * hamming_distance(", "bits = hamming_distance(", "tests/test_metrics.py"),
+    ("first_index", "cli.py",  # the first difference named one position late
+     "divmod(i, width)", "divmod(i + 1, width)", "tests/test_cli.py"),
 ]
 
 # loaded into pytest with -p, before any test module builds its settings

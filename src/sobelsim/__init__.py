@@ -34,7 +34,6 @@ from .image_io import (
     write_bmp,
 )
 from .metrics import (
-    ComparisonReport,
     ResourceEstimate,
     build_report,
     estimate_resources,

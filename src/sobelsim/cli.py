@@ -209,6 +209,15 @@ def _run_each(pipelines, *args):
     return hdl_result, hls_result
 
 
+def _print_first_difference(width, a, a_name, b, b_name):
+    """On a mismatch, name on stderr the first raster position where gray
+    bytes `a` and `b` differ, and each side's byte there."""
+    i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+    row, col = divmod(i, width)
+    print(f"first difference at row {row}, col {col}: "
+          f"{a[i]} from {a_name}, {b[i]} from {b_name}", file=sys.stderr)
+
+
 def cmd_process(args) -> int:
     width, height, rgb = _read_input(args.input)
     pipeline = _edge_pipeline(args.arch, width, height, args)
@@ -249,9 +258,12 @@ def cmd_compare(args) -> int:
     base, ext = os.path.splitext(args.output)
     for tag, gray in (("hdl", hdl_gray), ("hls", hls_gray)):
         _write_edges(f"{base}_{tag}{ext or '.bmp'}", width, height, gray)
-    print(f"hamming_bits={report.hamming_bits} "
-          f"cycle_ratio={report.cycle_ratio:.4f}", file=sys.stderr)
-    return 0 if report.hamming_bits == 0 else 3
+    print(f"hamming_bits={report['hamming_bits']} "
+          f"cycle_ratio={report['cycle_ratio']:.4f}", file=sys.stderr)
+    if report["hamming_bits"] == 0:
+        return 0
+    _print_first_difference(width, hdl_gray, "hdl", hls_gray, "hls")
+    return 3
 
 
 def cmd_bench(args) -> int:
@@ -269,6 +281,8 @@ def cmd_bench(args) -> int:
             if gray != runs[0][0][0]:  # hdl's gray bytes at 0
                 print(f"{variant}: output under stall probability {prob} "
                       f"differs from hdl's under 0", file=sys.stderr)
+                _print_first_difference(args.width, runs[0][0][0], "hdl under 0",
+                                        gray, f"{variant} under {prob}")
                 return 3
             lines.append(",".join(map(str, (variant, f"{prob:.4f}", args.seed, *stats))))
     with open(args.report, "w") as fh:

@@ -463,6 +463,15 @@ class TestU8ToU32:
         with pytest.raises(ValueError, match=message):
             unpack_words(beats, 0)
 
+    def test_unpack_swaps_each_word_on_a_host_of_the_other_byte_order(self, monkeypatch):
+        # an array's native word bytes are in sys.byteorder, so claiming the
+        # other order (on a little-endian host, "big") runs the swap that a
+        # host of that order needs, and each word's bytes come out swapped
+        other = {"little": "big", "big": "little"}[sys.byteorder]
+        monkeypatch.setattr(sys, "byteorder", other)
+        words = [(0x04030201, False), (0x08070605, True)]
+        assert unpack_words(words, 8) == bytes([4, 3, 2, 1, 8, 7, 6, 5])
+
     def test_unpack_takes_an_iterator(self):
         assert unpack_words(iter([(0x04030201, False), (5, True)]), 5) == bytes([1, 2, 3, 4, 5])
         with pytest.raises(ValueError, match=r"word beat 5 is not a \(data, last\) pair"):

@@ -625,7 +625,9 @@ class TestWorkers:
         monkeypatch.setattr(cli, "run_frame", flipped)
         assert main_reaped(bench_args(tmp_path)) == 3
         assert capsys.readouterr().err == ("hls: output under stall probability 0.5 "
-                                           "differs from hdl's under 0\n")
+                                           "differs from hdl's under 0\n"
+                                           "first difference at row 0, col 0: "
+                                           "0 from hdl under 0, 1 from hls under 0.5\n")
         assert not (tmp_path / "bench.csv").exists()
 
     def test_bench_checks_that_the_cores_agree(self, tmp_path, capsys, monkeypatch, affinity):
@@ -642,8 +644,32 @@ class TestWorkers:
         monkeypatch.setattr(cli, "run_frame", flipped)
         assert main_reaped(bench_args(tmp_path)) == 3
         assert capsys.readouterr().err == ("hls: output under stall probability 0.0 "
-                                           "differs from hdl's under 0\n")
+                                           "differs from hdl's under 0\n"
+                                           "first difference at row 0, col 0: "
+                                           "0 from hdl under 0, 1 from hls under 0.0\n")
         assert not (tmp_path / "bench.csv").exists()
+
+    def test_compare_names_the_first_difference(self, tmp_path, capsys, monkeypatch,
+                                                affinity):
+        # hls's lowest bit flipped in gray byte 31, the fourth byte of word 7:
+        # row 2, col 5 of the 13-pixel-wide frame
+        run_frame = cli.run_frame
+
+        def flipped(pipeline, frame, stalls):
+            beats, stats = run_frame(pipeline, frame, stalls)
+            if pipeline.elements[1].name == "sobel_hls":
+                beats = [*beats[:7], Beat(beats[7].data ^ (1 << 24), beats[7].last),
+                         *beats[8:]]
+            return beats, stats
+
+        monkeypatch.setattr(cli, "run_frame", flipped)
+        assert main_reaped(compare_args(tmp_path)) == 3
+        hdl = reference_edges(tmp_path / "in.bmp").pixels[31]
+        ratio = json.loads((tmp_path / "cmp").read_text())["cycle_ratio"]
+        assert capsys.readouterr().err == (
+            f"hamming_bits=3 cycle_ratio={ratio:.4f}\n"
+            f"first difference at row 2, col 5: {hdl} from hdl, {hdl ^ 1} from hls\n")
+        assert read_edge_image(tmp_path / "edges_hls.bmp").pixels[31] == hdl ^ 1
 
     def test_settings_checked_before_any_run(self, tmp_path, capsys, monkeypatch, affinity):
         calls = []
